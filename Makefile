@@ -6,7 +6,7 @@
 PYTHON ?= python
 
 .PHONY: check check-shallow check-deep check-kernel check-bounds lint \
-	test bench bench-batched mrc-approx baseline hash-schema
+	test bench mrc-approx baseline hash-schema
 
 check: lint check-shallow check-deep check-kernel check-bounds
 
@@ -32,13 +32,6 @@ test:
 bench:
 	$(PYTHON) -m repro bench --smoke --threshold 0.30 \
 		--baseline BENCH_core_ops.json --output bench_smoke.json
-
-# Full-length run of the suite including the batched scenarios and the
-# >=5x batched-vs-committed-single-step speedup gate (same gate CI's
-# bench-smoke job enforces at smoke scale).
-bench-batched:
-	$(PYTHON) -m repro bench --threshold 0.30 --batch-size 1024 \
-		--baseline BENCH_core_ops.json --output bench_batched.json
 
 # The approximate-MRC validation ladder: the fast SHARDS/AET-vs-exact
 # accuracy suite (also run by CI's bench-smoke job), then the

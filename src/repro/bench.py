@@ -28,8 +28,6 @@ import time  # repro: noqa DET001 -- wall-clock benchmark timing, not simulation
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core import ULCClient, ULCMultiSystem
 from repro.policies import LRUPolicy
 from repro.workloads import zipf_trace
@@ -75,47 +73,6 @@ def _drive_multi(refs: Refs) -> None:
     for block in refs:
         access(index % 8, block)
         index += 1
-
-
-#: Chunk size of the batched scenarios (the batch-size guidance in
-#: docs/performance.md).
-BATCH_SIZE = 1024
-
-#: Working-set sizes of the batched scenarios' zipf traces. The batched
-#: twins measure the *steady-state all-hit fast path* — the case the
-#: batch tier vectorises — so their working sets fit the cache and the
-#: engines are warmed outside the timed region (cold fills are scalar
-#: inserts in both drive modes and already measured by the single-step
-#: scenarios).
-LRU_BATCHED_UNIVERSE = 2048
-ULC_BATCHED_UNIVERSE = 512
-
-
-def _drive_lru_batched(
-    policy: LRUPolicy, blocks: "np.ndarray", batch_size: int
-) -> None:
-    access_batch = policy.access_batch
-    for start in range(0, len(blocks), batch_size):
-        access_batch(blocks[start:start + batch_size])
-
-
-def _drive_ulc_batched(
-    engine: ULCClient, blocks: "np.ndarray", batch_size: int
-) -> None:
-    """The engine's batched single-client loop: vectorised all-hit runs
-    through :meth:`ULCClient.access_hit_run`, exact scalar steps at the
-    misses."""
-    run = engine.access_hit_run
-    access = engine.access
-    total = len(blocks)
-    index = 0
-    while index < total:
-        chunk = blocks[index:index + batch_size]
-        consumed = run(chunk)
-        index += consumed
-        if consumed < len(chunk):
-            access(int(blocks[index]))
-            index += 1
 
 
 #: Server sizes of the sweep-speedup scenarios: 16 points, the scale the
@@ -236,9 +193,7 @@ def _drive_bounds_check() -> None:
     run_bounds_checks([Path(repro.__file__).resolve().parent])
 
 
-def _scenarios(
-    num_refs: int, batch_size: int = BATCH_SIZE
-) -> List[Tuple[str, Callable[[], None], int]]:
+def _scenarios(num_refs: int) -> List[Tuple[str, Callable[[], None], int]]:
     """Build the benchmark scenarios with their traces pre-materialised.
 
     Each entry is ``(name, drive, refs)`` — ``refs`` is the reference
@@ -258,35 +213,6 @@ def _scenarios(
     scenarios.append(
         ("lru_access_throughput", lambda: _drive_lru(lru_refs), num_refs)
     )
-    # Batched twins of the single-step engines above, measuring the
-    # steady-state all-hit fast path (see LRU_BATCHED_UNIVERSE): the
-    # engine is warmed outside the timed region, and every timed round
-    # replays the same all-resident trace through the batch tier. The
-    # ratio gate in :func:`run_bench` holds lru_access_throughput_batched
-    # to >= 5x the committed single-step lru_access_throughput. Trace
-    # length is pinned at FULL_REFS rather than smoke-scaled: at a few
-    # batches per round the per-call overhead dominates and the smoke
-    # numbers would undershoot a full-length committed baseline.
-    lru_arr = np.asarray(
-        memoryview(zipf_trace(LRU_BATCHED_UNIVERSE, FULL_REFS, seed=1).blocks)
-    )
-    warm_lru = LRUPolicy(3072)
-    _drive_lru_batched(warm_lru, lru_arr, batch_size)
-    scenarios.append((
-        "lru_access_throughput_batched",
-        lambda: _drive_lru_batched(warm_lru, lru_arr, batch_size),
-        FULL_REFS,
-    ))
-    ulc_arr = np.asarray(
-        memoryview(zipf_trace(ULC_BATCHED_UNIVERSE, FULL_REFS, seed=1).blocks)
-    )
-    warm_ulc = ULCClient([1024] * 3)
-    _drive_ulc_batched(warm_ulc, ulc_arr, batch_size)
-    scenarios.append((
-        "ulc_access_throughput_batched[1024]",
-        lambda: _drive_ulc_batched(warm_ulc, ulc_arr, batch_size),
-        FULL_REFS,
-    ))
     multi_refs = memoryview(zipf_trace(8192, num_refs, seed=2).blocks)
     scenarios.append(
         ("multi_client_throughput", lambda: _drive_multi(multi_refs), num_refs)
@@ -341,7 +267,6 @@ def _scenarios(
 def run_suite(
     num_refs: int = FULL_REFS,
     rounds: int = FULL_ROUNDS,
-    batch_size: int = BATCH_SIZE,
 ) -> Dict[str, BenchResult]:
     """Time every scenario; best-of-``rounds`` wall time per scenario.
 
@@ -351,7 +276,7 @@ def run_suite(
     undershoot a baseline recorded by a long full-length run.
     """
     results: Dict[str, BenchResult] = {}
-    for name, drive, scenario_refs in _scenarios(num_refs, batch_size):
+    for name, drive, scenario_refs in _scenarios(num_refs):
         drive()
         best = float("inf")
         for _ in range(max(1, rounds)):
@@ -445,7 +370,6 @@ def find_regressions(
 #: in. The mrc_shards gate is the tentpole's >= 20x-over-exact-Mattson
 #: claim (docs/performance.md, "Approximate miss-ratio curves").
 SPEEDUP_GATES: Tuple[Tuple[str, str, float], ...] = (
-    ("lru_access_throughput_batched", "lru_access_throughput", 5.0),
     ("mrc_shards", "mrc_stack_distances", 20.0),
 )
 
@@ -456,20 +380,20 @@ def find_speedup_failures(
 ) -> List[str]:
     """Gated scenarios running below their required speedup ratio."""
     messages: List[str] = []
-    for batched_name, single_name, min_ratio in SPEEDUP_GATES:
-        batched = current.get(batched_name, {}).get("refs_per_s")
-        single = None
+    for fast_name, slow_name, min_ratio in SPEEDUP_GATES:
+        fast = current.get(fast_name, {}).get("refs_per_s")
+        slow = None
         if previous is not None:
-            single = previous.get(single_name, {}).get("refs_per_s")
-        if not single:
-            single = current.get(single_name, {}).get("refs_per_s")
-        if not batched or not single:
+            slow = previous.get(slow_name, {}).get("refs_per_s")
+        if not slow:
+            slow = current.get(slow_name, {}).get("refs_per_s")
+        if not fast or not slow:
             continue
-        ratio = batched / single
+        ratio = fast / slow
         if ratio < min_ratio:
             messages.append(
-                f"{batched_name}: {batched:,.0f} refs/s is {ratio:.1f}x "
-                f"{single_name} ({single:,.0f}); the fast path promises "
+                f"{fast_name}: {fast:,.0f} refs/s is {ratio:.1f}x "
+                f"{slow_name} ({slow:,.0f}); the fast path promises "
                 f">= {min_ratio:.0f}x"
             )
     return messages
@@ -509,22 +433,17 @@ def run_bench(
     smoke: bool = False,
     rounds: Optional[int] = None,
     refs: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> int:
     """Run the suite, write ``output``, compare against the baseline.
 
-    ``batch_size`` overrides the chunk size of the batched scenarios
-    (default :data:`BATCH_SIZE`).
-
     Returns the process exit code: 0 clean, 1 when at least one
-    benchmark regressed beyond ``threshold`` or a batched scenario
+    benchmark regressed beyond ``threshold`` or a gated scenario
     missed its promised speedup ratio.
     """
     num_refs = refs if refs is not None else (SMOKE_REFS if smoke else FULL_REFS)
     num_rounds = rounds if rounds is not None else (
         SMOKE_ROUNDS if smoke else FULL_ROUNDS
     )
-    chunk = batch_size if batch_size is not None else BATCH_SIZE
     out_path = Path(output)
     baseline_path = Path(baseline) if baseline is not None else out_path
     previous_doc: Optional[Dict[str, object]] = None
@@ -536,7 +455,7 @@ def run_bench(
         if isinstance(loaded, dict):
             previous_doc = loaded
 
-    results = run_suite(num_refs, num_rounds, chunk)
+    results = run_suite(num_refs, num_rounds)
 
     previous_benchmarks: Optional[Dict[str, BenchResult]] = None
     if previous_doc is not None:

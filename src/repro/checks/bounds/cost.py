@@ -5,7 +5,7 @@ Costs form a small totally ordered lattice::
     O(1) < O(log n) < O(n) < O(n log n) < O(n^2) < O(n^k)
 
 ``n`` is the size of whatever dominates the function's input — the
-batch, the trace, the resident set; the lattice deliberately does not
+trace, the resident set; the lattice deliberately does not
 distinguish them, because the budget question ("is this constant per
 reference or not?") only needs the order. ``O(n^k)`` is the top
 element: anything the interpreter cannot bound, including deep loop
@@ -27,12 +27,12 @@ line directly above it::
 The grammar is ``# repro: bound EXPR [amortized] -- justification``
 where ``EXPR`` is one of the lattice labels above. ``amortized``
 accepts bounds that hold per operation only across a sequence
-(geometric slab growth, checkpoint-reverify batch kernels, stack
-pruning paid for by earlier pushes). A declared bound is an *accepted,
-justified obligation*: the function is exempt from BND001, callers
-account it as unit cost (the debt is recorded once, where it is
-justified, instead of re-reported along every call chain), and BND004
-keeps the annotation honest (parsable, justified, still needed).
+(geometric slab growth, stack pruning paid for by earlier pushes). A
+declared bound is an *accepted, justified obligation*: the function is
+exempt from BND001, callers account it as unit cost (the debt is
+recorded once, where it is justified, instead of re-reported along
+every call chain), and BND004 keeps the annotation honest (parsable,
+justified, still needed).
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ the :class:`repro.checks.bounds.cost.Cost` lattice:
   once, at the justified site).
 
 The *hot set* seeds from the protocol's per-reference entry points —
-policy ``access``/``evict``/``victim`` (budget ``O(1)``), the batch
-entries ``access_batch``/``hit_run``/``access_hit_run*`` and the
+policy ``access``/``evict``/``victim`` (budget ``O(1)``) and the
 ``_drive*``/``_span*`` engine loops (budget ``O(n)``, linear in the
-batch/trace), plus anything marked ``# repro: hot`` — and propagates
+trace), plus anything marked ``# repro: hot`` — and propagates
 like FLOW004's derived-hot set: from an ``O(n)``-budget entry through
 loop-resident call sites, from an ``O(1)``-budget function through
 every call site. Rules:
@@ -76,12 +75,6 @@ from repro.checks.kernel.model import (
 #: Per-reference protocol entry points: one call serves one reference,
 #: so the default budget is constant time.
 ENTRY_CONST_METHODS = {"access", "evict", "victim"}
-
-#: Batch/run entry points: one call serves a whole reference batch, so
-#: the default budget is linear in the batch.
-ENTRY_LINEAR_METHODS = {
-    "access_batch", "hit_run", "access_hit_run", "access_hit_run_multi",
-}
 
 #: Module-level drive-loop prefixes, recognised in ``*.engine`` modules
 #: (``repro.sim.engine``'s ``_drive*`` / ``_span*`` family).
@@ -762,8 +755,6 @@ class BoundsChecker:
             return None
         if func.cls is not None and func.name in ENTRY_CONST_METHODS:
             return Cost.CONST, f"per-reference entry point '{func.name}'"
-        if func.name in ENTRY_LINEAR_METHODS:
-            return Cost.LINEAR, f"batch entry point '{func.name}'"
         if func.hot_marked:
             return Cost.LINEAR, "marked '# repro: hot'"
         if func.cls is None and func.name.startswith(
@@ -992,6 +983,5 @@ __all__ = [
     "CostW",
     "ENGINE_ENTRY_PREFIXES",
     "ENTRY_CONST_METHODS",
-    "ENTRY_LINEAR_METHODS",
     "run_bounds_analysis",
 ]

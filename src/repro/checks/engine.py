@@ -215,7 +215,7 @@ def run_checks(
         deep: also run the whole-program dataflow pass
             (:mod:`repro.checks.flow` — FLOW001..FLOW004).
         kernel: also run the slot-typestate pass
-            (:mod:`repro.checks.kernel` — KER001..KER004).
+            (:mod:`repro.checks.kernel` — KER001..KER003).
         bounds: also run the cost-bound pass
             (:mod:`repro.checks.bounds` — BND001..BND004).
         baseline: deep/kernel/bounds findings baseline file; ``None``

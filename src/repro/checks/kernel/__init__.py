@@ -1,4 +1,4 @@
-"""Slot-typestate analysis of the slab/batch tier (the ``repro check
+"""Slot-typestate analysis of the slab kernel (the ``repro check
 --kernel`` pass).
 
 The slab kernel (:mod:`repro.util.intlist`) and its consumers do manual
@@ -10,16 +10,12 @@ checks at runtime. Everything is AST-only and reuses the ``--deep``
 project model (:mod:`repro.checks.flow.project`); no project code is
 imported or executed.
 
-Two analyses run over the model:
-
-- **KER001/KER002/KER003** (:mod:`typestate`) — abstract interpretation
-  of every slab-touching function over the slot lifecycle lattice
-  ``allocated → linked → unlinked → freed``, reporting use-after-free,
-  slot leaks and cross-slab confusion with the intraprocedural path
-  attached as finding steps (rendered as SARIF ``codeFlows``);
-- **KER004** (:mod:`batch`) — conformance to the batch-tier contract
-  (``supports_batch`` obligation set, frozen ``BatchResult``, guarded
-  ``hit_run`` fast paths).
+The analysis (:mod:`typestate`, rules **KER001/KER002/KER003**) is an
+abstract interpretation of every slab-touching function over the slot
+lifecycle lattice ``allocated → linked → unlinked → freed``, reporting
+use-after-free, slot leaks and cross-slab confusion with the
+intraprocedural path attached as finding steps (rendered as SARIF
+``codeFlows``).
 
 Suppression is the same ``# repro: noqa KER00x`` comment, findings are
 plain :class:`repro.checks.findings.Finding` values, and the baseline
@@ -40,7 +36,6 @@ from repro.checks.flow.baseline import (
     load_baseline,
 )
 from repro.checks.flow.project import Project
-from repro.checks.kernel.batch import run_batch_contract
 from repro.checks.kernel.typestate import KernelChecker, run_typestate
 
 #: Kernel-pass rules, for ``--list-rules`` and ``--select`` validation.
@@ -56,10 +51,6 @@ KERNEL_RULES: Dict[str, str] = {
     "KER003": (
         "cross-slab confusion: a slot index from one slot space flows "
         "into another slab's arrays, lists or free()"
-    ),
-    "KER004": (
-        "batch-contract violation: incomplete supports_batch obligation "
-        "set, frozen BatchResult mutation, or unguarded hit_run fast path"
     ),
 }
 
@@ -88,10 +79,8 @@ def run_kernel_checks(
     wanted = set(select) if select is not None else set(KERNEL_RULES)
 
     findings: List[Finding] = []
-    if wanted & {"KER001", "KER002", "KER003"}:
-        findings.extend(run_typestate(project, wanted))
-    findings.extend(run_batch_contract(project, wanted))
-    findings.sort()
+    if wanted & set(KERNEL_RULES):
+        findings = sorted(run_typestate(project, wanted))
 
     baseline = load_baseline(
         baseline_path if baseline_path is not None else DEFAULT_BASELINE
@@ -108,7 +97,6 @@ __all__ = [
     "KERNEL_RULES",
     "KernelChecker",
     "KernelReport",
-    "run_batch_contract",
     "run_kernel_checks",
     "run_typestate",
 ]

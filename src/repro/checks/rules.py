@@ -472,9 +472,8 @@ class NoDeprecatedDriveCalls(Rule):
     """API002 — in-tree code drives simulations through ``Engine``.
 
     ``run_simulation``/``run_with_collector`` survive only as
-    deprecation shims for external callers; an in-tree call re-rots the
-    tree the batch-API redesign just cleaned and dodges the facade the
-    batched drive, warm-up handling and cost validation hang off.
+    deprecation shims for external callers; an in-tree call dodges the
+    facade that warm-up handling and cost validation hang off.
     Import/re-export sites are fine (the shims stay public); *calls*
     are not.
     """

@@ -199,7 +199,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         smoke=args.smoke,
         rounds=args.rounds,
-        batch_size=args.batch_size,
     )
 
 
@@ -619,8 +618,12 @@ def _run_simulate(args: argparse.Namespace) -> str:
 
     The run is expressed as a :class:`repro.runner.RunSpec`, so
     ``--cache-dir`` makes repeated invocations with identical parameters
-    return instantly from the on-disk result cache.
+    return instantly from the on-disk result cache. A run that measures
+    no reference (an empty trace, or a warm-up covering all of it) is a
+    :class:`ConfigurationError` (CLI exit code 2), not a report of
+    zero rates.
     """
+    from repro.errors import ConfigurationError
     from repro.runner import (
         CostSpec,
         RunSpec,
@@ -666,8 +669,17 @@ def _run_simulate(args: argparse.Namespace) -> str:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         check_invariants=args.check_invariants,
-        batch_size=args.batch_size,
     )[0]
+    if result.references == 0:
+        reason = (
+            f"the warm-up fraction {args.warmup} covers all "
+            f"{result.warmup_references} references"
+            if result.warmup_references
+            else "the trace is empty"
+        )
+        raise ConfigurationError(
+            f"no references to measure in {result.workload!r}: {reason}"
+        )
     rows = [
         ["scheme", spec.build_scheme().describe()],
         ["workload", f"{result.workload} ({result.references} refs measured)"],
@@ -834,17 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.1,
         help="warm-up fraction (simulate; default 0.1)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "simulate: drive the run through the batched engine in "
-            "chunks of N references (bit-identical results); bench: "
-            "chunk size of the batched scenarios"
-        ),
     )
     bench = parser.add_argument_group("bench options")
     bench.add_argument(
@@ -1077,9 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         action="store_true",
         help=(
-            "also run the slot-typestate pass over the slab/batch tier "
-            "(use-after-free + slot-leak + cross-slab + batch contract, "
-            "KER001..4)"
+            "also run the slot-typestate pass over the slab kernel "
+            "(use-after-free + slot-leak + cross-slab, KER001..3)"
         ),
     )
     check.add_argument(

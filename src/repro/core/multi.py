@@ -504,12 +504,6 @@ class ULCMultiSystem:
         self._access_by_client = tuple(
             engine.access for engine in self.clients
         )
-        # (node index, stack touch, tempLRU) per client for the batched
-        # hit-run kernel — all three are fixed for the system's lifetime.
-        self._hit_run_handles = tuple(
-            (engine.stack._nodes, engine.stack.touch, engine._temp)
-            for engine in self.clients
-        )
 
     def access(self, client: int, block: Block) -> AccessEvent:  # repro: hot
         """Process one reference from ``client``.
@@ -544,46 +538,6 @@ class ULCMultiSystem:
         engine.apply_notices(notices)
         messages = len(notices) if self._immediate else 0
         return engine.access(block, count_notice_messages=messages)
-
-    def access_hit_run(  # repro: hot
-        self, clients: Sequence[int], blocks: Sequence[Block]
-    ) -> int:
-        """Fast-forward through a stretch of pure client-cache hits.
-
-        ``clients`` and ``blocks`` are parallel arrays. A reference is a
-        trivial hit when its client has no pending eviction notices and
-        the block is tracked at that client's level 1 outside the
-        tempLRU: the fused :meth:`ULCMultiClient.access` then reduces to
-        ``stack.touch(node, 1)`` with no server effects, demotions or
-        messages (a level-1 node's recency region is 1 by the yardstick
-        construction). Stops before the first reference needing the full
-        protocol; returns the number consumed.
-        """
-        handles = self._hit_run_handles
-        num_clients = self._num_clients
-        pending = self._server_pending
-        count = 0
-        # Zero-copy lazy views, not .tolist(): the caller may probe a
-        # large window that stops after a few references, and this
-        # kernel must cost O(consumed), not O(window).
-        if hasattr(clients, "tolist"):
-            clients = memoryview(clients)
-        if hasattr(blocks, "tolist"):
-            blocks = memoryview(blocks)
-        for client, block in zip(clients, blocks):
-            if not 0 <= client < num_clients:
-                break
-            if client in pending:
-                break
-            nodes, touch, temp = handles[client]
-            node = nodes.get(block)
-            if node is None or node.level != 1:
-                break
-            if temp is not None and block in temp:
-                break
-            touch(node, 1)
-            count += 1
-        return count
 
     def check_invariants(self) -> None:
         """Validate every client's invariants plus server consistency."""

@@ -162,40 +162,6 @@ class ULCClient:
                 temp.insert(block)
         return event
 
-    def access_hit_run(self, blocks: Sequence[Block]) -> int:  # repro: hot
-        """Fast-forward through a leading stretch of pure level-1 hits.
-
-        A reference is a *pure* level-1 hit when its block is tracked at
-        level 1 and not sitting in the tempLRU: a level-1 node is always
-        at or above yardstick ``Y_1`` (it is in the ``LRU_1`` list, whose
-        tail *is* the yardstick), so its recency region is 1 and
-        :meth:`access` would take the ``i == j`` branch — exactly
-        ``stack.touch(node, 1)``, an event with ``hit_level=1``/
-        ``placed_level=1`` and no demotions, evictions, temp activity or
-        messages. This loop performs just that touch per reference and
-        stops before the first reference that needs the full protocol.
-        Returns the number of references consumed.
-        """
-        stack = self.stack
-        nodes = stack._nodes
-        temp = self._temp
-        touch = stack.touch
-        count = 0
-        if hasattr(blocks, "tolist"):
-            # Zero-copy lazy view, not .tolist(): the caller may probe a
-            # large window that stops after a few references, and this
-            # kernel must cost O(consumed), not O(window).
-            blocks = memoryview(blocks)
-        for block in blocks:
-            node = nodes.get(block)
-            if node is None or node.level != 1:
-                break
-            if temp is not None and block in temp:
-                break
-            touch(node, 1)
-            count += 1
-        return count
-
     def _access_untracked(
         self, block: Block, client: int, in_temp: bool
     ) -> AccessEvent:

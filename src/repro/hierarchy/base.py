@@ -33,14 +33,6 @@ class MultiLevelScheme(abc.ABC):
 
     name = "abstract"
 
-    #: Whether :meth:`access_hit_run` can fast-forward hit stretches.
-    #: Schemes that implement a real run kernel set this True; the
-    #: batched drive loop consults it once per run and falls back to the
-    #: per-reference path otherwise. The flag is a *capability*, not a
-    #: semantic switch — batched and per-reference drives must produce
-    #: identical results.
-    supports_batch = False
-
     def __init__(self, capacities: Sequence[int], num_clients: int = 1) -> None:
         capacities = list(capacities)
         if not capacities:
@@ -57,37 +49,6 @@ class MultiLevelScheme(abc.ABC):
     @abc.abstractmethod
     def access(self, client: int, block: Block) -> AccessEvent:
         """Process one reference from ``client`` and report the outcome."""
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Fast-forward through a leading stretch of *pure level-1 hits*.
-
-        Processes references from ``blocks`` (all issued by ``client``)
-        for as long as each one is a trivial hit — an access whose event
-        would be exactly ``AccessEvent(block, client, hit_level=1,
-        served_from_temp=False, placed_level=1)`` with no demotions,
-        evictions or control messages — and stops *before* the first
-        reference with any other outcome. Returns how many references
-        were consumed; the caller resumes with :meth:`access` from
-        there.
-
-        The contract is bit-exactness: consuming ``k`` references here
-        must leave the scheme in the same state as ``k`` :meth:`access`
-        calls. The base implementation consumes nothing (always exact);
-        schemes advertising :attr:`supports_batch` override it.
-        """
-        self._check_client(client)
-        return 0
-
-    def access_hit_run_multi(
-        self, clients: Sequence[int], blocks: Sequence[Block]
-    ) -> int:
-        """:meth:`access_hit_run` over a mixed-client reference run.
-
-        ``clients`` and ``blocks`` are parallel; the same pure-hit
-        contract applies per reference. Used by the batched drive loop
-        on multi-client traces, where clients interleave per reference.
-        """
-        return 0
 
     def describe(self) -> str:
         """One-line human-readable description."""

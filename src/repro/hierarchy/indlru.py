@@ -62,24 +62,10 @@ class IndependentScheme(MultiLevelScheme):
         if policies[0] != "lru":
             self.name = "ind-" + "-".join(policies)
 
-    supports_batch = True
-
     def _level_cache(self, client: int, level: int) -> ReplacementPolicy:
         if level == 1:
             return self._client_caches[client]
         return self._shared[level - 2]
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Fast-forward through a run of level-1 hits.
-
-        A level-1 hit in :meth:`access` is a bare ``touch`` on the
-        client cache (the read-through loop inserts nothing), so the run
-        delegates to that policy's :meth:`~ReplacementPolicy.hit_run` —
-        vectorised for the array-backed policies, the exact default loop
-        for any other level-1 policy.
-        """
-        self._check_client(client)
-        return self._client_caches[client].hit_run(blocks)
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)

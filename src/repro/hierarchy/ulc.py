@@ -7,7 +7,6 @@ the two-level multi-client system (:class:`repro.core.multi.ULCMultiSystem`).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, Optional, Sequence
 
 from repro.core.events import AccessEvent
@@ -41,16 +40,9 @@ class ULCScheme(MultiLevelScheme):
             max_metadata=max_metadata,
         )
 
-    supports_batch = True
-
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         return self.engine.access(block, client=client)
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Delegate to the engine's pure level-1 hit kernel."""
-        self._check_client(client)
-        return self.engine.access_hit_run(blocks)
 
     def check_invariants(self) -> None:
         """Stack consistency, per-level occupancy and level exclusivity."""
@@ -142,22 +134,9 @@ class ULCMultiScheme(MultiLevelScheme):
             notice_loss_seed=notice_loss_seed,
         )
 
-    supports_batch = True
-
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         return self.system.access(client, block)
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Single-client run through the system's mixed-client kernel."""
-        self._check_client(client)
-        return self.system.access_hit_run(repeat(client), blocks)
-
-    def access_hit_run_multi(
-        self, clients: Sequence[int], blocks: Sequence[Block]
-    ) -> int:
-        """Delegate a mixed-client run to the system kernel."""
-        return self.system.access_hit_run(clients, blocks)
 
     def check_invariants(self) -> None:
         """System checks plus per-client L1/L2-view exclusivity.

@@ -56,20 +56,6 @@ class UnifiedLRUScheme(MultiLevelScheme):
         super().__init__(capacities, num_clients)
         self._levels = [LRUPolicy(capacity) for capacity in self.capacities]
 
-    supports_batch = True
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Fast-forward through a run of level-1 hits.
-
-        A level-1 hit in :meth:`access` is ``remove`` + ``insert`` on
-        the level-1 LRU with no ripple (the removal frees the slot the
-        insert refills), which is state-identical to a ``touch`` thanks
-        to the slab's LIFO slot recycling — so the whole run delegates
-        to the level-1 policy's vectorised :meth:`~LRUPolicy.hit_run`.
-        """
-        self._check_client(client)
-        return self._levels[0].hit_run(blocks)
-
     def _find_level(self, block: Block) -> Optional[int]:
         for level, cache in enumerate(self._levels, start=1):
             if block in cache:

@@ -7,19 +7,16 @@ realistic stand-in for "the client's kernel page cache" in ablations.
 The ring is the same flat-array slab queue as
 :class:`~repro.policies.lru.LRUPolicy` (head = hand position, tail =
 most recent insert) with the reference bits in a parallel array indexed
-by slab slot. A hit only sets a bit — no splice — so batched all-hit
-stretches reduce to setting the distinct blocks' bits, order-free.
+by slab slot. A hit only sets a bit — no splice.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import ProtocolError
 from repro.policies.base import Block
-from repro.policies.lru import _DEDUPE_THRESHOLD, LRUPolicy
+from repro.policies.lru import LRUPolicy
 from repro.util.intlist import SENTINEL
 
 
@@ -52,19 +49,6 @@ class CLOCKPolicy(LRUPolicy):
             self._require_resident(block)
             return  # pragma: no cover - _require_resident raised
         self._refbit[slot] = True
-
-    # repro: bound O(n) -- linear in the batch segment; every element
-    # is visited once (order-free reference-bit sets)
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """Hits only set reference bits — order-free, so no replay."""
-        slots = self._slots
-        refbit = self._refbit
-        if seg.shape[0] <= _DEDUPE_THRESHOLD:
-            blocks = seg.tolist()
-        else:
-            blocks = np.unique(seg).tolist()
-        for block in blocks:
-            refbit[slots[block]] = True
 
     # repro: bound O(1) amortized -- the hand sweep clears reference
     # bits; each cleared bit was set by one earlier hit

@@ -6,14 +6,10 @@ baseline and as the building block of the CLOCK approximation.
 Structurally FIFO is LRU with the recency movement deleted: the same
 slab queue (insert at the front, evict at the back), but :meth:`touch`
 leaves the order alone. Subclassing :class:`~repro.policies.lru.LRUPolicy`
-buys the flat-array kernel, the residency bitmap and the batched
-``access_batch`` / ``hit_run`` fast paths for free — an all-hit stretch
-is a no-op here, which makes FIFO the cheapest policy to batch.
+buys the flat-array kernel for free.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.policies.base import Block
 from repro.policies.lru import LRUPolicy
@@ -27,6 +23,3 @@ class FIFOPolicy(LRUPolicy):
     def touch(self, block: Block) -> None:
         self._require_resident(block)
         # FIFO position is fixed at insertion time.
-
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """An all-resident stretch has no effect under FIFO."""

@@ -10,19 +10,11 @@ node allocation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
-from repro.policies.residency import ResidencyBitmap, as_block_array
+from repro.policies.base import Block, ReplacementPolicy
 from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList
-
-#: Below this segment length a plain per-reference splice loop beats the
-#: vectorised last-occurrence dedupe (numpy call overhead dominates tiny
-#: segments).
-_DEDUPE_THRESHOLD = 32
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -35,14 +27,6 @@ class LRUPolicy(ReplacementPolicy):
         self._stack = IntLinkedList()
         self._slots: Dict[Block, int] = {}
         self._block_at: List[Optional[Block]] = [None]
-        # Residency bitmap for the batched kernels: built lazily on the
-        # first batch call, kept live by _alloc/_release, dropped (back
-        # to the exact per-reference path) on unsupported block ids.
-        self._bits: Optional[ResidencyBitmap] = None
-        # Scratch for the scatter-based last-occurrence dedupe; contents
-        # are never read across calls (every gathered entry is written
-        # first), so it is allocated uninitialised and only ever grows.
-        self._last_pos: Optional[np.ndarray] = None
 
     def __contains__(self, block: Block) -> bool:
         return block in self._slots
@@ -57,12 +41,6 @@ class LRUPolicy(ReplacementPolicy):
         else:
             self._block_at[slot] = block
         self._slots[block] = slot
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.add(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return slot
 
     def _release(self, slot: int) -> Block:
@@ -70,26 +48,7 @@ class LRUPolicy(ReplacementPolicy):
         self._block_at[slot] = None
         self._stack.slab.free(slot)
         del self._slots[block]
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.discard(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return block
-
-    def _ensure_bits(self) -> Optional[ResidencyBitmap]:
-        """The live residency bitmap, or ``None`` when unsupported."""
-        bits = self._bits
-        if bits is None:
-            try:
-                bits = ResidencyBitmap(
-                    self._slots, size_hint=2 * self.capacity
-                )
-            except (TypeError, IndexError):
-                return None
-            self._bits = bits
-        return bits
 
     def touch(self, block: Block) -> None:
         slot = self._slots.get(block)
@@ -155,196 +114,8 @@ class LRUPolicy(ReplacementPolicy):
             if block is not None:
                 yield block
 
-    # -- the batched kernels -----------------------------------------------
-
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """Replay per-reference touches over an all-resident segment.
-
-        Exactness argument: after ``touch(b)`` for each element of
-        ``seg`` in order, the stack front holds the segment's *distinct*
-        blocks ordered by descending last occurrence (everything else is
-        untouched). Touching each distinct block once, in ascending
-        last-occurrence order, produces the identical final state in
-        O(distinct) splices. Short segments skip the dedupe —
-        per-reference splices are cheaper than the numpy calls.
-
-        The dedupe is a sort-free scatter: writing each position into a
-        block-indexed scratch leaves every block's *last* position
-        (duplicate fancy-index assignments keep the final write), so the
-        positions whose scratch entry still equals them are exactly the
-        last occurrences, already in ascending order.
-        """
-        slots = self._slots
-        stack = self._stack
-        prv, nxt = stack.prev, stack.next
-        if seg.shape[0] <= _DEDUPE_THRESHOLD:
-            order = seg.tolist()
-        else:
-            bits = self._bits
-            needed = (
-                bits.bits.shape[0] if bits is not None
-                else int(seg.max()) + 1
-            )
-            last = self._last_pos
-            if last is None or last.shape[0] < needed:
-                last = np.empty(needed, dtype=np.int64)
-                self._last_pos = last
-            positions = np.arange(seg.shape[0], dtype=np.int64)
-            last[seg] = positions
-            order = seg[last[seg] == positions].tolist()
-        for block in order:
-            slot = slots[block]
-            # Inline move_to_front (kernel contract; hot path).
-            if nxt[SENTINEL] == slot:
-                continue
-            p, n = prv[slot], nxt[slot]
-            nxt[p] = n
-            prv[n] = p
-            first = nxt[SENTINEL]
-            prv[slot] = SENTINEL
-            nxt[slot] = first
-            prv[first] = slot
-            nxt[SENTINEL] = slot
-
-    # repro: bound O(n) amortized -- the scalar probe is capped at
-    # _DEDUPE_THRESHOLD references and the gather/touch pass visits each
-    # consumed reference once
-    def hit_run(self, blocks: Sequence[Block]) -> int:
-        """Vectorised :meth:`ReplacementPolicy.hit_run`.
-
-        One bitmap gather classifies the whole run; hits never change
-        residency, so the batch-start mask is exact for the all-hit
-        prefix, which is then touched via :meth:`_touch_segment`.
-
-        A short scalar probe of the leading references runs first: a
-        caller may hand this kernel a large window that stops within a
-        few references (the batched drive re-probes after every miss),
-        and the run must then cost O(consumed), not pay the O(window)
-        gather. The probe only reads the residency dict, so falling
-        through to the vectorised path replays from an untouched state.
-        """
-        arr = as_block_array(blocks)
-        if arr is None:
-            return super().hit_run(blocks)
-        n = arr.shape[0]
-        if n == 0:
-            return 0
-        slots = self._slots
-        probe = arr[:_DEDUPE_THRESHOLD].tolist()
-        for index, block in enumerate(probe):
-            if block not in slots:
-                for hit in probe[:index]:
-                    self.touch(hit)
-                return index
-        if n <= len(probe):
-            for hit in probe:
-                self.touch(hit)
-            return n
-        bits_map = self._ensure_bits()
-        if bits_map is None:
-            return super().hit_run(blocks)
-        try:
-            bits_map.ensure(int(arr.max()))
-        except IndexError:
-            return super().hit_run(blocks)
-        misses = np.flatnonzero(~bits_map.bits[arr])
-        stop = n if misses.shape[0] == 0 else int(misses[0])
-        if stop:
-            self._touch_segment(arr[:stop])
-        return stop
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and touched a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch`.
-
-        A bitmap gather splits the batch at the (batch-start) miss
-        positions; each intervening stretch is re-verified against the
-        *live* bitmap (mid-batch inserts and evictions update it
-        immediately) and the verified all-hit run is touched in one
-        vectorised pass. Every position the live check rejects — a true
-        miss, or a block evicted mid-batch — goes through the exact
-        scalar step, so the result is bit-identical to the default loop.
-        """
-        arr = as_block_array(blocks)
-        if arr is None:
-            return super().access_batch(blocks)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(
-                hits=np.zeros(0, dtype=bool), evicted=(), offsets=(0,)
-            )
-        bits_map = self._ensure_bits()
-        if bits_map is None:
-            return super().access_batch(blocks)
-        try:
-            bits_map.ensure(int(arr.max()))
-        except IndexError:
-            return super().access_batch(blocks)
-
-        hits_out = np.zeros(n, dtype=bool)
-        counts = np.zeros(n, dtype=np.int64)
-        evicted: List[Block] = []
-        slots = self._slots
-        blocks_list = arr.tolist()
-        # Positions that were misses at batch start: the only places the
-        # residency set can *grow* mid-batch (scalar inserts happen
-        # there), so they bound every all-hit stretch to verify.
-        checkpoints = np.flatnonzero(~bits_map.bits[arr])
-        num_checkpoints = checkpoints.shape[0]
-        pos = 0
-        cursor = 0
-        while pos < n:
-            while cursor < num_checkpoints and checkpoints[cursor] < pos:
-                cursor += 1
-            stop = (
-                int(checkpoints[cursor]) if cursor < num_checkpoints else n
-            )
-            if stop - pos > _DEDUPE_THRESHOLD:
-                # Re-verify the stretch against the live bitmap: blocks
-                # evicted by an earlier scalar step are stale hits.
-                stale = np.flatnonzero(~bits_map.bits[arr[pos:stop]])
-                run_end = (
-                    stop if stale.shape[0] == 0 else pos + int(stale[0])
-                )
-                if run_end > pos:
-                    self._touch_segment(arr[pos:run_end])
-                    hits_out[pos:run_end] = True
-                    pos = run_end
-                if pos < stop:
-                    # Evicted mid-batch: a true miss now.
-                    ev = self.insert(blocks_list[pos])
-                    if ev:
-                        evicted.extend(ev)
-                        counts[pos] = len(ev)
-                    pos += 1
-                continue
-            # Short stretch (numpy per-call overhead would dominate) and
-            # then the checkpoint itself: exact scalar steps, with dict
-            # membership as the live residency truth — a batch-start hit
-            # may have been evicted since, a batch-start miss inserted.
-            for p in range(pos, min(stop + 1, n)):
-                block = blocks_list[p]
-                if block in slots:
-                    self.touch(block)
-                    hits_out[p] = True
-                else:
-                    ev = self.insert(block)
-                    if ev:
-                        evicted.extend(ev)
-                        counts[p] = len(ev)
-            pos = min(stop + 1, n)
-
-        offsets = np.empty(n + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(counts, out=offsets[1:])
-        return BatchResult(
-            hits=hits_out, evicted=tuple(evicted), offsets=offsets
-        )
-
     def check_invariants(self) -> None:
-        """Slot index, stack and residency bitmap must agree."""
+        """Slot index and stack must agree."""
         super().check_invariants()
         self._stack.check_invariants()
         if self._stack.size != len(self._slots):
@@ -357,14 +128,6 @@ class LRUPolicy(ReplacementPolicy):
                 raise ProtocolError(
                     f"{self.name}: slot {slot} holds "
                     f"{self._block_at[slot]!r}, index says {block!r}"
-                )
-        bits = self._bits
-        if bits is not None:
-            flagged = set(np.flatnonzero(bits.bits).tolist())
-            if flagged != set(self._slots):
-                raise ProtocolError(
-                    f"{self.name}: residency bitmap disagrees with the "
-                    f"slot index"
                 )
 
     # -- extras used by the unified schemes --------------------------------

@@ -23,21 +23,15 @@ array write.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
-from repro.policies.residency import ResidencyBitmap, as_block_array
-from repro.policies.batch import vectorised_access_batch
+from repro.policies.base import Block, ReplacementPolicy
 from repro.util.intlist import IntLinkedList, IntSlab
 from repro.util.validation import check_fraction
 
 #: Frequency counters saturate here (2 bits in the paper).
 _FREQ_MAX = 3
-
-_PROBE = 32
 
 
 class S3FIFOPolicy(ReplacementPolicy):
@@ -74,7 +68,6 @@ class S3FIFOPolicy(ReplacementPolicy):
         self._block_at: List[Optional[Block]] = [None]
         self._freq: List[int] = [0]
         self._ghost: "OrderedDict[Block, None]" = OrderedDict()
-        self._bits: Optional[ResidencyBitmap] = None
 
     def __contains__(self, block: Block) -> bool:
         return block in self._slots
@@ -93,12 +86,6 @@ class S3FIFOPolicy(ReplacementPolicy):
             self._block_at[slot] = block
             self._freq[slot] = 0
         self._slots[block] = slot
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.add(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return slot
 
     def _release(self, slot: int) -> Block:
@@ -107,25 +94,7 @@ class S3FIFOPolicy(ReplacementPolicy):
         self._freq[slot] = 0
         self._slab.free(slot)
         del self._slots[block]
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.discard(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return block
-
-    def _ensure_bits(self) -> Optional[ResidencyBitmap]:
-        bits = self._bits
-        if bits is None:
-            try:
-                bits = ResidencyBitmap(
-                    self._slots, size_hint=2 * self.capacity
-                )
-            except (TypeError, IndexError):
-                return None
-            self._bits = bits
-        return bits
 
     # repro: bound O(1) amortized -- the ghost trim pops at most the
     # entries earlier calls pushed
@@ -246,73 +215,6 @@ class S3FIFOPolicy(ReplacementPolicy):
                 block = block_at[slot]
                 if block is not None:
                     yield block
-
-    # -- batched kernels ---------------------------------------------------
-
-    # repro: bound O(n) amortized -- the scalar probe is capped at
-    # _PROBE references and the counter scatter visits each consumed
-    # reference once
-    def hit_run(self, blocks: Sequence[Block]) -> int:
-        """Vectorised all-hit prefix.
-
-        A hit only increments a saturating counter, so the loop over a
-        resident prefix is reproduced exactly by adding each block's
-        occurrence count to its counter (clamped at :data:`_FREQ_MAX`).
-        """
-        arr = as_block_array(blocks)
-        if arr is None:
-            return super().hit_run(blocks)
-        n = arr.shape[0]
-        if n == 0:
-            return 0
-        slots = self._slots
-        freq = self._freq
-        probe = arr[:_PROBE].tolist()
-        for index, block in enumerate(probe):
-            if block not in slots:
-                for hit in probe[:index]:
-                    slot = slots[hit]
-                    if freq[slot] < _FREQ_MAX:
-                        freq[slot] += 1
-                return index
-        if n <= len(probe):
-            for hit in probe:
-                slot = slots[hit]
-                if freq[slot] < _FREQ_MAX:
-                    freq[slot] += 1
-            return n
-        bits_map = self._ensure_bits()
-        if bits_map is None:
-            return super().hit_run(blocks)
-        try:
-            bits_map.ensure(int(arr.max()))
-        except IndexError:
-            return super().hit_run(blocks)
-        misses = np.flatnonzero(~bits_map.bits[arr])
-        stop = n if misses.shape[0] == 0 else int(misses[0])
-        if stop:
-            self._touch_segment(arr[:stop])
-        return stop
-
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """Replay per-reference touches over an all-resident segment:
-        each touch adds one to a saturating counter, so adding each
-        block's occurrence count (clamped) is exact."""
-        slots = self._slots
-        freq = self._freq
-        uniques, counts = np.unique(seg, return_counts=True)
-        for block, count in zip(uniques.tolist(), counts.tolist()):
-            slot = slots[block]
-            total = freq[slot] + count
-            freq[slot] = total if total < _FREQ_MAX else _FREQ_MAX
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and counted a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch` (shared
-        mark-on-hit driver; see :mod:`repro.policies.batch`)."""
-        return vectorised_access_batch(self, blocks)
 
     def check_invariants(self) -> None:
         super().check_invariants()

@@ -14,17 +14,11 @@ resident block, visited bits in a flat slot-indexed array.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
-from repro.policies.batch import vectorised_access_batch
-from repro.policies.residency import ResidencyBitmap, as_block_array
+from repro.policies.base import Block, ReplacementPolicy
 from repro.util.intlist import IntLinkedList
-
-_PROBE = 32
 
 
 class SIEVEPolicy(ReplacementPolicy):
@@ -40,7 +34,6 @@ class SIEVEPolicy(ReplacementPolicy):
         self._visited: List[bool] = [False]
         #: Slot the next eviction sweep starts from (``None`` = tail).
         self._hand: Optional[int] = None
-        self._bits: Optional[ResidencyBitmap] = None
 
     def __contains__(self, block: Block) -> bool:
         return block in self._slots
@@ -59,12 +52,6 @@ class SIEVEPolicy(ReplacementPolicy):
             self._block_at[slot] = block
             self._visited[slot] = False
         self._slots[block] = slot
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.add(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return slot
 
     def _release(self, slot: int) -> Block:
@@ -73,25 +60,7 @@ class SIEVEPolicy(ReplacementPolicy):
         self._visited[slot] = False
         self._queue.slab.free(slot)
         del self._slots[block]
-        bits = self._bits
-        if bits is not None:
-            try:
-                bits.discard(block)
-            except (TypeError, IndexError):
-                self._bits = None
         return block
-
-    def _ensure_bits(self) -> Optional[ResidencyBitmap]:
-        bits = self._bits
-        if bits is None:
-            try:
-                bits = ResidencyBitmap(
-                    self._slots, size_hint=2 * self.capacity
-                )
-            except (TypeError, IndexError):
-                return None
-            self._bits = bits
-        return bits
 
     # -- the sweep ---------------------------------------------------------
 
@@ -181,64 +150,6 @@ class SIEVEPolicy(ReplacementPolicy):
             block = block_at[slot]
             if block is not None:
                 yield block
-
-    # -- batched kernels ---------------------------------------------------
-
-    # repro: bound O(n) amortized -- the scalar probe is capped at
-    # _PROBE references and the visited-bit scatter visits each
-    # consumed reference once
-    def hit_run(self, blocks: Sequence[Block]) -> int:
-        """Vectorised all-hit prefix: hits only set visited bits, which
-        is order-independent and idempotent, so marking each distinct
-        block of the prefix once reproduces the loop exactly."""
-        arr = as_block_array(blocks)
-        if arr is None:
-            return super().hit_run(blocks)
-        n = arr.shape[0]
-        if n == 0:
-            return 0
-        slots = self._slots
-        visited = self._visited
-        probe = arr[:_PROBE].tolist()
-        for index, block in enumerate(probe):
-            slot = slots.get(block)
-            if slot is None:
-                for hit in probe[:index]:
-                    visited[slots[hit]] = True
-                return index
-        if n <= len(probe):
-            for hit in probe:
-                visited[slots[hit]] = True
-            return n
-        bits_map = self._ensure_bits()
-        if bits_map is None:
-            return super().hit_run(blocks)
-        try:
-            bits_map.ensure(int(arr.max()))
-        except IndexError:
-            return super().hit_run(blocks)
-        misses = np.flatnonzero(~bits_map.bits[arr])
-        stop = n if misses.shape[0] == 0 else int(misses[0])
-        if stop:
-            self._touch_segment(arr[:stop])
-        return stop
-
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """Replay per-reference touches over an all-resident segment:
-        visited bits are order-independent and idempotent, so marking
-        each distinct block once is exact."""
-        slots = self._slots
-        visited = self._visited
-        for block in np.unique(seg).tolist():
-            visited[slots[block]] = True
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and marked a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch` (shared
-        mark-on-hit driver; see :mod:`repro.policies.batch`)."""
-        return vectorised_access_batch(self, blocks)
 
     def check_invariants(self) -> None:
         super().check_invariants()

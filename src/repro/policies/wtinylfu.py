@@ -37,8 +37,8 @@ _WINDOW = "window"
 _PROBATION = "probation"
 _PROTECTED = "protected"
 
-#: Block ids reach the sketch as Python ints (scalar path) and numpy
-#: scalars (batch path); both must hash to the same counters.
+#: Block ids reach the sketch as Python ints and as numpy scalars (a
+#: caller iterating a numpy array); both must hash to the same counters.
 _INTEGRAL = (int, np.integer)
 
 

@@ -102,7 +102,6 @@ def materialize_trace(workload: WorkloadSpec) -> Trace:
 def execute_spec(
     spec: RunSpec,
     check_invariants: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Run one spec to completion, stamping throughput metadata.
 
@@ -114,11 +113,6 @@ def execute_spec(
             is observationally transparent — results are bit-identical
             with or without it — so the flag is deliberately *not* part
             of the spec hash; cached results are reused either way.
-        batch_size: when set, drive the simulation through the batched
-            engine (:meth:`repro.sim.Engine.drive` with this chunk
-            size). The batched drive is bit-identical to the scalar one
-            — like ``check_invariants`` it is an execution option, not
-            part of the spec hash.
     """
     check_invariants = resolve_check_interval(check_invariants)
     trace = materialize_trace(spec.workload)
@@ -133,7 +127,7 @@ def execute_spec(
     # strips before any hash or comparison — so the clock reads below
     # cannot leak into cached payloads.
     started = time.perf_counter()  # repro: noqa FLOW001 -- timing extra only
-    result = engine.drive(trace, batch_size=batch_size)
+    result = engine.drive(trace)
     wall = time.perf_counter() - started  # repro: noqa FLOW001 -- timing extra only
     extras = dict(result.extras)
     extras["wall_time_s"] = wall
@@ -142,20 +136,18 @@ def execute_spec(
 
 
 #: Execution options riding alongside the spec dict in worker payloads.
-_PAYLOAD_OPTIONS = ("check_invariants", "batch_size")
+_PAYLOAD_OPTIONS = ("check_invariants",)
 
 
 def _execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     """Worker entry point: dicts in, dicts out (stable pickling)."""
     check_every = resolve_check_interval(payload.get("check_invariants"))
-    batch_size = payload.get("batch_size")
     spec_dict = {
         k: v for k, v in payload.items() if k not in _PAYLOAD_OPTIONS
     }
     result = execute_spec(
         RunSpec.from_dict(spec_dict),
         check_invariants=check_every,
-        batch_size=batch_size,  # type: ignore[arg-type]
     )
     return result.to_dict()
 
@@ -194,7 +186,6 @@ def run_specs(
     jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     check_invariants: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> List[RunResult]:
     """Execute ``specs`` and return their results in input order.
 
@@ -208,10 +199,6 @@ def run_specs(
             scheme's structural invariants each ``check_invariants``
             references (see :func:`execute_spec`). Cache hits skip the
             simulation and therefore the checking.
-        batch_size: when set, every *executed* run uses the batched
-            drive with this chunk size (see :func:`execute_spec`).
-            Results are bit-identical to scalar runs, so the cache is
-            shared between the two drive modes.
     """
     check_invariants = resolve_check_interval(check_invariants)
     specs = list(specs)
@@ -233,9 +220,7 @@ def run_specs(
     if len(pending) <= 1 or workers <= 1:
         for index in pending:
             results[index] = execute_spec(
-                specs[index],
-                check_invariants=check_invariants,
-                batch_size=batch_size,
+                specs[index], check_invariants=check_invariants
             )
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -244,8 +229,6 @@ def run_specs(
                 payload = dict(specs[index].to_dict())
                 if check_invariants is not None:
                     payload["check_invariants"] = check_invariants
-                if batch_size is not None:
-                    payload["batch_size"] = batch_size
                 futures.append((index, pool.submit(_execute_payload, payload)))
             for index, future in futures:
                 results[index] = RunResult.from_dict(future.result())

@@ -8,18 +8,11 @@ collecting metrics over the remainder.
 :class:`Engine` is the one drive entry point: construct it with a scheme
 (and a cost model for packaged results) and call :meth:`Engine.drive`
 for a :class:`~repro.sim.results.RunResult` or :meth:`Engine.collect`
-for the raw :class:`~repro.sim.metrics.MetricsCollector`. Both run the
-same internal loops, so warm-up handling and iteration order cannot
-diverge between them.
-
-``batch_size`` selects the *batched* drive loop: the trace is cut into
-chunks and each chunk's leading stretch of pure level-1 hits is consumed
-by the scheme's ``access_hit_run`` kernel (vectorised for the
-array-backed schemes) and folded into the metrics in bulk; the first
-reference that is anything but a trivial hit falls back to the exact
-per-reference step. Results are bit-identical to the per-reference loop
-— the golden digests in ``tests/core/test_slab_equivalence.py`` pin
-this — batching only changes how fast the answer arrives.
+for the raw :class:`~repro.sim.metrics.MetricsCollector`. Every drive
+— materialised or streamed — runs one per-reference loop
+(:func:`_span_scalar`): one ``scheme.access`` call and, past warm-up,
+one ``metrics.record`` per reference, so warm-up handling and iteration
+order cannot diverge between entry points.
 
 The former free functions :func:`run_simulation` and
 :func:`run_with_collector` survive as thin deprecated shims over
@@ -45,13 +38,6 @@ from repro.workloads.io import DEFAULT_CHUNK_REFS, StreamingTrace, iter_chunks
 
 #: The paper's warm-up fraction ("the first one tenth of block references").
 DEFAULT_WARMUP = 0.1
-
-# Cap on the scalar back-off run between empty hit-run probes in the
-# batched drive: bounds the amortised probe cost on miss-heavy streams
-# (one O(batch_size) probe per _MAX_SCALAR_RUN references) while a
-# transition back into a hit stretch costs at most this many scalar
-# steps before the fast path re-engages.
-_MAX_SCALAR_RUN = 32
 
 
 # repro: hot
@@ -98,115 +84,6 @@ def _span_scalar(
             record(access(0, block))
 
 
-# repro: hot
-# repro: bound O(n) amortized -- consumed runs and single-stepped
-# references partition the span, and the doubling probe backoff
-# caps empty-probe overhead at a constant factor per reference
-def _span_batched(
-    scheme: MultiLevelScheme,
-    blocks_arr: np.ndarray,
-    clients_arr: Optional[np.ndarray],
-    warmup_local: int,
-    metrics: MetricsCollector,
-    batch_size: int,
-) -> None:
-    """One contiguous span through the batched loop: bit-identical to
-    :func:`_span_scalar` over the same span.
-
-    Each window alternates between the scheme's ``access_hit_run`` fast
-    path (consume a stretch of pure level-1 hits, record them in bulk —
-    :meth:`MetricsCollector.record_l1_hits` is exactly n ``record``
-    calls for such events) and one exact per-reference ``access`` step
-    for the reference that stopped the run. Warm-up is handled by
-    clipping each consumed run against the warm-up boundary, so the
-    recorded counters match the split loops of :func:`_span_scalar`
-    reference for reference.
-
-    Every hit-run kernel pays O(window) per probe (array conversion or
-    a bitmap gather over the whole window), so probing a full window
-    after every miss would make a miss-heavy stream O(n * batch_size).
-    Empty probes therefore back off: the loop single-steps a doubling
-    run of references (capped at ``_MAX_SCALAR_RUN``) between probes
-    until one consumes again. Single-stepped references go through the
-    exact ``access`` and runs are prefix-exact whatever the probe
-    cadence, so the backoff changes throughput only, never results.
-    """
-    n = len(blocks_arr)
-    blocks = memoryview(blocks_arr)
-    access = scheme.access
-    record = metrics.record
-    record_hits = metrics.record_l1_hits
-    index = 0
-    if clients_arr is not None and clients_arr.any():
-        clients = memoryview(clients_arr)
-        run = scheme.access_hit_run_multi
-        num_clients = metrics.num_clients
-        scalar_run = 1
-        while index < n:
-            end = index + batch_size
-            if end > n:
-                end = n
-            consumed = run(
-                clients_arr[index:end], blocks_arr[index:end]
-            )
-            if consumed:
-                if consumed >= _MAX_SCALAR_RUN:
-                    scalar_run = 1
-                stop = index + consumed
-                measured_from = warmup_local if index < warmup_local \
-                    else index
-                if stop > measured_from:
-                    per_client = np.bincount(
-                        clients_arr[measured_from:stop],
-                        minlength=num_clients,
-                    )
-                    for client, count in enumerate(per_client.tolist()):
-                        if count:
-                            record_hits(client, count)
-                index = stop
-                if index >= end:
-                    continue
-            else:
-                scalar_run = min(scalar_run * 2, _MAX_SCALAR_RUN)
-            stop = index + scalar_run
-            if stop > n:
-                stop = n
-            while index < stop:
-                event = access(clients[index], blocks[index])
-                if index >= warmup_local:
-                    record(event)
-                index += 1
-    else:
-        run = scheme.access_hit_run
-        scalar_run = 1
-        while index < n:
-            end = index + batch_size
-            if end > n:
-                end = n
-            consumed = run(0, blocks_arr[index:end])
-            if consumed:
-                if consumed >= _MAX_SCALAR_RUN:
-                    scalar_run = 1
-                stop = index + consumed
-                measured_from = warmup_local if index < warmup_local \
-                    else index
-                if stop > measured_from:
-                    record_hits(0, stop - measured_from)
-                index = stop
-                if index >= end:
-                    continue
-            else:
-                scalar_run = min(scalar_run * 2, _MAX_SCALAR_RUN)
-            stop = index + scalar_run
-            if stop > n:
-                stop = n
-            while index < stop:
-                event = access(0, blocks[index])
-                if index >= warmup_local:
-                    record(event)
-                index += 1
-
-
 def _drive(
     scheme: MultiLevelScheme,
     trace: Trace,
@@ -229,28 +106,6 @@ def _drive(
     return warmup_count
 
 
-def _drive_batched(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float,
-    metrics: MetricsCollector,
-    batch_size: int,
-) -> int:
-    """The batched drive loop: bit-identical to :func:`_drive`. One
-    whole-trace span through :func:`_span_batched`."""
-    check_fraction("warmup_fraction", warmup_fraction)
-    warmup_count = int(len(trace) * warmup_fraction)
-    _span_batched(
-        scheme,
-        trace.blocks,
-        trace.clients if trace.clients.any() else None,
-        warmup_count,
-        metrics,
-        batch_size,
-    )
-    return warmup_count
-
-
 # repro: bound O(n) amortized -- chunks partition the stream and
 # each span loop visits every reference of its chunk once
 def _drive_stream(
@@ -258,27 +113,22 @@ def _drive_stream(
     source: Union[Trace, StreamingTrace],
     warmup_fraction: float,
     metrics: MetricsCollector,
-    batch_size: Optional[int],
     chunk_size: int,
 ) -> int:
     """Chunk-wise drive over a streaming source; returns the warm-up
     reference count.
 
-    Each chunk goes through the same span loops the materialised drives
-    use, with the global warm-up boundary clamped into the chunk
+    Each chunk goes through the span loop the materialised drive
+    uses, with the global warm-up boundary clamped into the chunk
     (``warmup_local``), so the recorded counters are bit-identical to
-    materialising the source and calling :func:`_drive` /
-    :func:`_drive_batched` — only peak memory differs: at most one
-    chunk of the reference stream is resident at a time (for an
-    mmap-backed :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy
-    view of the page cache). The per-chunk ``scalar_run`` backoff reset
-    in the batched span changes probe cadence only, never results.
+    materialising the source and calling :func:`_drive` — only peak
+    memory differs: at most one chunk of the reference stream is
+    resident at a time (for an mmap-backed
+    :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy view of the
+    page cache).
     """
     check_fraction("warmup_fraction", warmup_fraction)
     warmup_count = int(len(source) * warmup_fraction)
-    batched = batch_size is not None and getattr(
-        scheme, "supports_batch", False
-    )
     for chunk in iter_chunks(source, chunk_size):
         span = len(chunk.blocks)
         if span == 0:
@@ -288,30 +138,10 @@ def _drive_stream(
             warmup_local = 0
         elif warmup_local > span:
             warmup_local = span
-        if batched and batch_size is not None:
-            _span_batched(
-                scheme, chunk.blocks, chunk.clients, warmup_local,
-                metrics, batch_size,
-            )
-        else:
-            _span_scalar(
-                scheme, chunk.blocks, chunk.clients, warmup_local, metrics
-            )
+        _span_scalar(
+            scheme, chunk.blocks, chunk.clients, warmup_local, metrics
+        )
     return warmup_count
-
-
-def _check_batch_size(batch_size: Optional[int]) -> Optional[int]:
-    if batch_size is None:
-        return None
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-        raise ConfigurationError(
-            f"batch_size must be None or a positive int, got {batch_size!r}"
-        )
-    if batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    return batch_size
 
 
 class Engine:
@@ -341,32 +171,8 @@ class Engine:
         self.costs = costs
         self.warmup_fraction = warmup_fraction
 
-    def _run(
-        self,
-        trace: Trace,
-        metrics: MetricsCollector,
-        batch_size: Optional[int],
-    ) -> int:
-        batch_size = _check_batch_size(batch_size)
-        scheme = self.scheme
-        if batch_size is not None and getattr(
-            scheme, "supports_batch", False
-        ):
-            return _drive_batched(
-                scheme, trace, self.warmup_fraction, metrics, batch_size
-            )
-        return _drive(scheme, trace, self.warmup_fraction, metrics)
-
-    def drive(
-        self, trace: Trace, *, batch_size: Optional[int] = None
-    ) -> RunResult:
-        """Drive ``trace`` through the scheme; return the measured result.
-
-        ``batch_size`` (references per chunk) engages the batched drive
-        loop for schemes advertising
-        :attr:`~MultiLevelScheme.supports_batch`; ``None`` runs the
-        per-reference loop. The results are identical either way.
-        """
+    def drive(self, trace: Trace) -> RunResult:
+        """Drive ``trace`` through the scheme; return the measured result."""
         if self.costs is None:
             raise ConfigurationError(
                 "Engine.drive needs a cost model: construct the Engine "
@@ -375,7 +181,9 @@ class Engine:
         metrics = MetricsCollector(
             self.scheme.num_levels, self.scheme.num_clients
         )
-        warmup_count = self._run(trace, metrics, batch_size)
+        warmup_count = _drive(
+            self.scheme, trace, self.warmup_fraction, metrics
+        )
         return result_from_metrics(
             self.scheme.name,
             trace.info.name,
@@ -389,22 +197,20 @@ class Engine:
         self,
         trace: Trace,
         *,
-        batch_size: Optional[int] = None,
         collector: Optional[MetricsCollector] = None,
     ) -> MetricsCollector:
         """Drive ``trace`` and return the raw collector (tests,
-        custom analyses). Same loops as :meth:`drive`."""
+        custom analyses). Same loop as :meth:`drive`."""
         metrics = collector or MetricsCollector(
             self.scheme.num_levels, self.scheme.num_clients
         )
-        self._run(trace, metrics, batch_size)
+        _drive(self.scheme, trace, self.warmup_fraction, metrics)
         return metrics
 
     def drive_stream(
         self,
         source: Union[Trace, StreamingTrace],
         *,
-        batch_size: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK_REFS,
     ) -> RunResult:
         """Drive a streaming source chunk-wise; return the measured
@@ -416,7 +222,7 @@ class Engine:
         one ``chunk_size`` span at a time — the full reference array is
         never materialised. Counters, and therefore the packaged
         result, are bit-identical to materialising the source and
-        calling :meth:`drive` with the same ``batch_size``.
+        calling :meth:`drive`.
         """
         if self.costs is None:
             raise ConfigurationError(
@@ -428,8 +234,7 @@ class Engine:
             self.scheme.num_levels, self.scheme.num_clients
         )
         warmup_count = _drive_stream(
-            self.scheme, source, self.warmup_fraction, metrics,
-            _check_batch_size(batch_size), chunk_size,
+            self.scheme, source, self.warmup_fraction, metrics, chunk_size
         )
         return result_from_metrics(
             self.scheme.name,
@@ -444,18 +249,16 @@ class Engine:
         self,
         source: Union[Trace, StreamingTrace],
         *,
-        batch_size: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK_REFS,
         collector: Optional[MetricsCollector] = None,
     ) -> MetricsCollector:
         """Drive a streaming source chunk-wise and return the raw
-        collector. Same loops as :meth:`drive_stream`."""
+        collector. Same loop as :meth:`drive_stream`."""
         metrics = collector or MetricsCollector(
             self.scheme.num_levels, self.scheme.num_clients
         )
         _drive_stream(
-            self.scheme, source, self.warmup_fraction, metrics,
-            _check_batch_size(batch_size), chunk_size,
+            self.scheme, source, self.warmup_fraction, metrics, chunk_size
         )
         return metrics
 

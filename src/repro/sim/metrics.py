@@ -75,27 +75,6 @@ class MetricsCollector:
         self.evictions += len(event.evicted)
         self.control_messages += event.control_messages
 
-    def record_l1_hits(self, client: int, count: int) -> None:
-        """Fold ``count`` pure level-1 hits by ``client`` into the counters.
-
-        A *pure* level-1 hit is an event with ``hit_level == 1`` and no
-        other effects (no temp serve, no demotions, no evictions, no
-        control messages) — exactly what the batched drive loop's
-        ``access_hit_run`` fast path produces. For such events only three
-        integer counters move, so one bulk call is identical to ``count``
-        :meth:`record` calls.
-        """
-        if count <= 0:
-            return
-        if not 0 <= client < self.num_clients:
-            raise ProtocolError(
-                f"events for client {client} recorded by a collector "
-                f"tracking {self.num_clients} client(s)"
-            )
-        self.references += count
-        self.per_client_refs[client] += count
-        self.level_hits[0] += count
-
     # -- derived rates ---------------------------------------------------------
 
     def hit_rate(self, level: int) -> float:

@@ -192,14 +192,22 @@ def make_large_workload(
     name: str,
     scale: float = DEFAULT_GEOMETRY_SCALE,
     num_refs: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> Trace:
-    """Build one of the five Figure-6 workloads by name."""
+    """Build one of the five Figure-6 workloads by name.
+
+    ``num_refs`` and ``seed`` are forwarded only when set, so each
+    generator otherwise keeps its own default length and seed.
+    """
     try:
         factory = LARGE_WORKLOADS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown large workload {name!r}; available: {sorted(LARGE_WORKLOADS)}"
         ) from None
-    if num_refs is None:
-        return factory(scale=scale)
-    return factory(scale=scale, num_refs=num_refs)
+    kwargs: Dict[str, int] = {}
+    if num_refs is not None:
+        kwargs["num_refs"] = num_refs
+    if seed is not None:
+        kwargs["seed"] = seed
+    return factory(scale=scale, **kwargs)

@@ -10,6 +10,23 @@ from repro.cli import main
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
+#: A slab consumer that frees one slot twice: the kernel pass's KER001
+#: (use-after-free) finding in every multi-pass fixture below.
+DOUBLE_FREE_CACHE = (
+    "class IntSlab:\n"
+    "    def alloc(self):\n"
+    "        return 1\n\n"
+    "    def free(self, slot):\n"
+    "        pass\n\n\n"
+    "class Cache:\n"
+    "    def __init__(self):\n"
+    "        self.slab = IntSlab()\n\n"
+    "    def drop(self):\n"
+    "        slot = self.slab.alloc()\n"
+    "        self.slab.free(slot)\n"
+    "        self.slab.free(slot)\n"
+)
+
 
 class TestCheckCommand:
     def test_own_tree_is_clean(self, capsys):
@@ -56,8 +73,7 @@ class TestCheckCommand:
         for code in ("DET001", "DET002", "SIM001", "ERR001",
                      "ASSERT001", "FLT001", "SEED001", "API001",
                      "NOQA001", "FLOW001", "FLOW002", "FLOW003",
-                     "FLOW004", "KER001", "KER002", "KER003",
-                     "KER004"):
+                     "FLOW004", "KER001", "KER002", "KER003"):
             assert code in out
 
     def test_unknown_select_code_exits_two(self, capsys):
@@ -168,20 +184,7 @@ class TestKernelPass:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
-        (pkg / "cache.py").write_text(
-            "class IntSlab:\n"
-            "    def alloc(self):\n"
-            "        return 1\n\n"
-            "    def free(self, slot):\n"
-            "        pass\n\n\n"
-            "class Cache:\n"
-            "    def __init__(self):\n"
-            "        self.slab = IntSlab()\n\n"
-            "    def drop(self):\n"
-            "        slot = self.slab.alloc()\n"
-            "        self.slab.free(slot)\n"
-            "        self.slab.free(slot)\n"
-        )
+        (pkg / "cache.py").write_text(DOUBLE_FREE_CACHE)
         assert main(["check", str(pkg), "--kernel",
                      "--baseline", str(tmp_path / "none.json")]) == 1
         assert "KER001" in capsys.readouterr().out
@@ -190,36 +193,19 @@ class TestKernelPass:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
-        (pkg / "scheme.py").write_text(
-            "import random\n\n\n"
-            "class BadScheme:\n"
-            "    supports_batch = True\n"
-        )
+        (pkg / "cache.py").write_text("import random\n\n\n" + DOUBLE_FREE_CACHE)
         assert main(["check", str(pkg), "--kernel",
-                     "--select", "KER004",
+                     "--select", "KER001",
                      "--baseline", str(tmp_path / "none.json")]) == 1
         out = capsys.readouterr().out
-        assert "KER004" in out
+        assert "KER001" in out
         assert "DET001" not in out
 
     def test_sarif_carries_code_flows(self, tmp_path, capsys):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
-        (pkg / "cache.py").write_text(
-            "class IntSlab:\n"
-            "    def alloc(self):\n"
-            "        return 1\n\n"
-            "    def free(self, slot):\n"
-            "        pass\n\n\n"
-            "class Cache:\n"
-            "    def __init__(self):\n"
-            "        self.slab = IntSlab()\n\n"
-            "    def drop(self):\n"
-            "        slot = self.slab.alloc()\n"
-            "        self.slab.free(slot)\n"
-            "        self.slab.free(slot)\n"
-        )
+        (pkg / "cache.py").write_text(DOUBLE_FREE_CACHE)
         assert main(["check", str(pkg), "--kernel", "--format", "sarif",
                      "--baseline", str(tmp_path / "none.json")]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -233,23 +219,20 @@ class TestKernelPass:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
-        # one deep (FLOW001) and one kernel (KER004) finding
+        # one deep (FLOW001) and one kernel (KER001) finding
         (pkg / "sim.py").write_text(
             "import random  # repro: noqa DET001 -- fixture\n\n"
             "def run_simulation(trace):\n"
             "    return random.random()\n"
         )
-        (pkg / "scheme.py").write_text(
-            "class BadScheme:\n"
-            "    supports_batch = True\n"
-        )
+        (pkg / "cache.py").write_text(DOUBLE_FREE_CACHE)
         baseline = tmp_path / "baseline.json"
         assert main(["check", str(pkg), "--deep", "--kernel",
                      "--update-baseline", "--baseline", str(baseline)]) == 0
         capsys.readouterr()
         entries = json.loads(baseline.read_text())["findings"].values()
         assert any(e.startswith("FLOW001 ") for e in entries)
-        assert any(e.startswith("KER004 ") for e in entries)
+        assert any(e.startswith("KER001 ") for e in entries)
         # both passes are now quiet under the shared baseline
         assert main(["check", str(pkg), "--deep", "--kernel",
                      "--baseline", str(baseline)]) == 0
@@ -258,7 +241,7 @@ class TestKernelPass:
 
 def _four_pass_fixture(tmp_path):
     """One package with a finding from every pass: DET001 (shallow),
-    FLOW001 (deep), KER004 (kernel) and BND001 (bounds)."""
+    FLOW001 (deep), KER001 (kernel) and BND001 (bounds)."""
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
@@ -267,10 +250,7 @@ def _four_pass_fixture(tmp_path):
         "def run_simulation(trace):\n"
         "    return random.random()\n"
     )
-    (pkg / "scheme.py").write_text(
-        "class BadScheme:\n"
-        "    supports_batch = True\n"
-    )
+    (pkg / "cache.py").write_text(DOUBLE_FREE_CACHE)
     (pkg / "hotpath.py").write_text(
         "class SlowCache:\n"
         "    def __init__(self):\n"
@@ -319,7 +299,7 @@ class TestBoundsPass:
         for code in ("BND001", "BND002", "BND003", "BND004"):
             assert code in out
         # the bounds group comes after the kernel group
-        assert out.index("KER004") < out.index("BND001")
+        assert out.index("KER003") < out.index("BND001")
 
 
 class TestAllPasses:
@@ -334,7 +314,7 @@ class TestAllPasses:
         assert main(["check", str(pkg), "--all",
                      "--baseline", str(tmp_path / "none.json")]) == 1
         out = capsys.readouterr().out
-        for code in ("DET001", "FLOW001", "KER004", "BND001"):
+        for code in ("DET001", "FLOW001", "KER001", "BND001"):
             assert code in out
         # one combined summary line, not one per pass
         assert out.count("finding(s)") == 1
@@ -352,7 +332,7 @@ class TestAllPasses:
         jsonschema.validate(payload, schema)
         results = payload["runs"][0]["results"]
         rule_ids = {r["ruleId"] for r in results}
-        assert {"DET001", "FLOW001", "KER004", "BND001"} <= rule_ids
+        assert {"DET001", "FLOW001", "KER001", "BND001"} <= rule_ids
         bnd = next(r for r in results if r["ruleId"] == "BND001")
         # the dominating loop nest rides along as a codeFlow
         flow = bnd["codeFlows"][0]["threadFlows"][0]["locations"]
@@ -365,7 +345,7 @@ class TestAllPasses:
                      "--update-baseline", "--baseline", str(baseline)]) == 0
         capsys.readouterr()
         entries = json.loads(baseline.read_text())["findings"].values()
-        for prefix in ("DET001 ", "FLOW001 ", "KER004 ", "BND001 "):
+        for prefix in ("DET001 ", "FLOW001 ", "KER001 ", "BND001 "):
             assert any(e.startswith(prefix) for e in entries), prefix
         # all four passes are now quiet under the one shared baseline
         assert main(["check", str(pkg), "--all",

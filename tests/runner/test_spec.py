@@ -15,10 +15,12 @@ from repro.runner import (
     RunSpec,
     SchemeSpec,
     WorkloadSpec,
+    materialize_trace,
     specs_for_sweep,
 )
 from repro.sim import paper_three_level, paper_two_level
 from repro.workloads import save_text, zipf_trace
+from repro.workloads.largescale import LARGE_WORKLOADS
 
 ZIPF = {"num_blocks": 60, "num_refs": 2000, "seed": 1}
 
@@ -137,3 +139,39 @@ class TestSweepExpansion:
         ]
         for _, size, spec in rows:
             assert spec.capacities == (16, size)
+
+
+class TestLargeWorkloadSeed:
+    """``WorkloadSpec("large", ..., {"seed": s})`` reaches the generator;
+    a spec without a seed keeps its trace and its hash."""
+
+    #: ``spec_hash`` of :meth:`unseeded_spec`, pinned from before
+    #: ``make_large_workload`` accepted a seed.
+    UNSEEDED_SPEC_HASH = (
+        "056d66cebc0eff85105629849bbbb85309332d8ed43da8877a8ee55fecda5f61"
+    )
+
+    @staticmethod
+    def unseeded_spec() -> RunSpec:
+        return RunSpec(
+            scheme="ulc",
+            capacities=(100, 100, 100),
+            workload=WorkloadSpec("large", "zipf", {"num_refs": 2000}),
+            costs=CostSpec.from_model(paper_three_level()),
+        )
+
+    def test_seed_is_forwarded(self):
+        spec = WorkloadSpec("large", "zipf", {"seed": 7, "num_refs": 2000})
+        trace = materialize_trace(spec)
+        expected = LARGE_WORKLOADS["zipf"](seed=7, num_refs=2000)
+        assert trace.blocks.tolist() == expected.blocks.tolist()
+        default = LARGE_WORKLOADS["zipf"](num_refs=2000)
+        assert trace.blocks.tolist() != default.blocks.tolist()
+
+    def test_unseeded_spec_keeps_trace_and_hash(self):
+        spec = self.unseeded_spec()
+        assert spec.spec_hash() == self.UNSEEDED_SPEC_HASH
+        expected = LARGE_WORKLOADS["zipf"](num_refs=2000)
+        assert spec.workload.build().blocks.tolist() == (
+            expected.blocks.tolist()
+        )

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hierarchy import IndependentScheme, ULCScheme, UnifiedLRUScheme
 from repro.sim import (
+    Engine,
     RunResult,
     best_of,
     load_results,
@@ -18,6 +19,7 @@ from repro.sim import (
     sweep_server_size,
 )
 from repro.workloads import Trace, looping_trace, zipf_trace
+from tests.core.golden_core import result_hash
 
 
 class TestEngine:
@@ -158,3 +160,43 @@ class TestSweep:
 
     def test_best_of_empty(self):
         assert best_of({}) == []
+
+
+class TestFacadeContract:
+    """``Engine`` is the one drive entry point; the free-function shims
+    the API002 check rule keeps the tree itself off still warn and
+    forward to it."""
+
+    def test_drive_without_costs_raises(self):
+        engine = Engine(ULCScheme([4, 4]))
+        with pytest.raises(ConfigurationError):
+            engine.drive(Trace([1, 2, 3]))
+
+    def test_collect_without_costs_works(self):
+        metrics = Engine(ULCScheme([4, 4])).collect(Trace([1, 2, 1, 1]))
+        assert metrics.references > 0
+
+    def test_run_simulation_shim_warns_and_matches(self):
+        trace = zipf_trace(num_blocks=64, num_refs=500, seed=2)
+        costs = paper_two_level()
+        with pytest.warns(DeprecationWarning, match="run_simulation"):
+            legacy = run_simulation(ULCScheme([8, 16]), trace, costs)
+        modern = Engine(ULCScheme([8, 16]), costs).drive(trace)
+        assert result_hash(legacy) == result_hash(modern)
+
+    def test_run_with_collector_shim_warns(self):
+        with pytest.warns(DeprecationWarning, match="run_with_collector"):
+            metrics = run_with_collector(ULCScheme([4, 4]), Trace([1, 2, 1]))
+        assert metrics.references > 0
+
+    def test_legacy_sweep_builders_warn(self):
+        trace = zipf_trace(num_blocks=64, num_refs=400, seed=3)
+        with pytest.warns(DeprecationWarning, match="legacy callable"):
+            points = sweep_server_size(
+                {"uniLRU": lambda caps: UnifiedLRUScheme(caps)},
+                trace,
+                8,
+                [16, 32],
+                paper_two_level(),
+            )
+        assert len(points["uniLRU"]) == 2

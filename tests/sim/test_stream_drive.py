@@ -1,11 +1,10 @@
 """``Engine.drive_stream``: chunk-wise drive, bit-identical results.
 
 The streaming drive consumes a :class:`StreamingTrace` (or a plain
-trace) one chunk at a time — warm-up is clamped per chunk, the batched
-fast path restarts per chunk — and promises counters *bit-identical*
-to materialising the source and calling :meth:`Engine.drive`. These
-tests pin that promise across chunk sizes that straddle the warm-up
-boundary, scalar and batched dispatch, multi-client traces, and an
+trace) one chunk at a time — warm-up is clamped per chunk — and
+promises counters *bit-identical* to materialising the source and
+calling :meth:`Engine.drive`. These tests pin that promise across chunk
+sizes that straddle the warm-up boundary, multi-client traces, and an
 actual on-disk columnar source (proving the engine path works off the
 mmap reader, not just in-memory slices).
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hierarchy import ULCMultiScheme, ULCScheme, UnifiedLRUScheme
+from repro.hierarchy import ULCMultiScheme, ULCScheme
 from repro.sim import Engine, paper_three_level, paper_two_level
 from repro.workloads import Trace, zipf_trace
 from repro.workloads.io import save_columnar
@@ -34,20 +33,6 @@ def test_stream_scalar_matches_drive(chunk_size):
     )
     assert result_hash(streamed) == result_hash(plain)
     assert streamed.comparable() == plain.comparable()
-
-
-@pytest.mark.parametrize("chunk_size", [64, 1_000, 10_000])
-@pytest.mark.parametrize("batch_size", [1, 13, 512])
-def test_stream_batched_matches_drive_batched(chunk_size, batch_size):
-    trace = zipf_trace(256, 3_000, seed=7)
-    costs = paper_three_level()
-    plain = Engine(UnifiedLRUScheme([64, 128, 256]), costs).drive(
-        trace, batch_size=batch_size
-    )
-    streamed = Engine(
-        UnifiedLRUScheme([64, 128, 256]), costs
-    ).drive_stream(trace, batch_size=batch_size, chunk_size=chunk_size)
-    assert result_hash(streamed) == result_hash(plain)
 
 
 @pytest.mark.parametrize("chunk_size", [100, 2_000])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.cli import main
 from repro.workloads import Trace, TraceInfo, save_npz
@@ -83,3 +84,41 @@ class TestSimulate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_trace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code = main(
+            ["simulate", "--scheme", "ulc", "--levels", "4", "4",
+             "--trace", str(path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "T_ave" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no references to measure")
+        assert "empty" in err[0]
+
+    def test_warmup_covering_trace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(f"{i % 7}\n" for i in range(50)))
+        code = main(
+            ["simulate", "--scheme", "ulc", "--levels", "4", "4",
+             "--trace", str(path), "--warmup", "1.0"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "T_ave" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert "warm-up fraction 1.0 covers all 50 references" in err[0]
+
+    def test_batch_size_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["simulate", "--scheme", "ulc", "--levels", "4", "4",
+                 "--workload", "zipf", "--refs", "1000", "--batch-size", "8"]
+            )
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
