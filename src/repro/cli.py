@@ -637,6 +637,10 @@ def _run_simulate(args: argparse.Namespace) -> str:
     if args.trace is not None:
         workload = WorkloadSpec("file", str(args.trace))
     else:
+        if args.refs < 1:
+            raise ConfigurationError(
+                f"--refs must be at least 1, got {args.refs}"
+            )
         workload = WorkloadSpec(
             "large", args.workload, {"num_refs": args.refs}
         )

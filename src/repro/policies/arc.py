@@ -5,7 +5,7 @@ lists B1/B2 steering an adaptation parameter ``p``. It is contemporary
 with the ULC paper and serves as an additional single-level baseline in
 the extension benchmarks.
 
-Lists (all LRU-ordered, MRU at the head):
+Lists (one ``OrderedDict`` each, LRU first, MRU last):
 
 - T1: resident, seen exactly once recently.
 - T2: resident, seen at least twice recently.
@@ -17,11 +17,11 @@ Invariant: ``len(T1) + len(T2) <= capacity`` and
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 
 _T1, _T2, _B1, _B2 = "T1", "T2", "B1", "B2"
 
@@ -33,11 +33,11 @@ class ARCPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._lists: Dict[str, DoublyLinkedList[Block]] = {
-            name: DoublyLinkedList() for name in (_T1, _T2, _B1, _B2)
+        self._lists: "Dict[str, OrderedDict[Block, None]]" = {
+            name: OrderedDict() for name in (_T1, _T2, _B1, _B2)
         }
-        # block -> (list name, node)
-        self._where: Dict[Block, Tuple[str, ListNode[Block]]] = {}
+        # block -> name of the list holding it
+        self._where: Dict[Block, str] = {}
         self._p = 0.0  # target size of T1
 
     # -- plumbing ------------------------------------------------------------
@@ -46,17 +46,18 @@ class ARCPolicy(ReplacementPolicy):
         return len(self._lists[name])
 
     def _push(self, name: str, block: Block) -> None:
-        self._where[block] = (name, self._lists[name].push_front(ListNode(block)))
+        self._lists[name][block] = None
+        self._where[block] = name
 
     def _drop(self, block: Block) -> str:
-        name, node = self._where.pop(block)
-        self._lists[name].remove(node)
+        name = self._where.pop(block)
+        del self._lists[name][block]
         return name
 
     def _pop_lru(self, name: str) -> Block:
-        node = self._lists[name].pop_back()
-        del self._where[node.value]
-        return node.value
+        block = self._lists[name].popitem(last=False)[0]
+        del self._where[block]
+        return block
 
     def _replace(self, in_b2: bool) -> Block:
         """Evict from T1 or T2 per the REPLACE subroutine; ghost kept."""
@@ -74,8 +75,7 @@ class ARCPolicy(ReplacementPolicy):
     # -- ReplacementPolicy interface -------------------------------------------
 
     def __contains__(self, block: Block) -> bool:
-        entry = self._where.get(block)
-        return entry is not None and entry[0] in (_T1, _T2)
+        return self._where.get(block) in (_T1, _T2)
 
     def __len__(self) -> int:
         return self._list_len(_T1) + self._list_len(_T2)
@@ -91,7 +91,7 @@ class ARCPolicy(ReplacementPolicy):
         evicted: List[Block] = []
         capacity = self.capacity
 
-        if where is not None and where[0] == _B1:
+        if where == _B1:
             # Ghost hit in B1: favour recency.
             delta = max(1.0, self._list_len(_B2) / max(1, self._list_len(_B1)))
             self._p = min(float(capacity), self._p + delta)
@@ -101,7 +101,7 @@ class ARCPolicy(ReplacementPolicy):
             self._push(_T2, block)
             return evicted
 
-        if where is not None and where[0] == _B2:
+        if where == _B2:
             # Ghost hit in B2: favour frequency.
             delta = max(1.0, self._list_len(_B1) / max(1, self._list_len(_B2)))
             self._p = max(0.0, self._p - delta)
@@ -139,16 +139,12 @@ class ARCPolicy(ReplacementPolicy):
             return None
         t1_len = self._list_len(_T1)
         if t1_len and (t1_len > self._p or self._list_len(_T2) == 0):
-            tail = self._lists[_T1].tail
-        else:
-            tail = self._lists[_T2].tail
-        if tail is None:  # pragma: no cover - defensive
-            raise ProtocolError("ARC full but both T lists empty")
-        return tail.value
+            return next(iter(self._lists[_T1]))
+        return next(iter(self._lists[_T2]))
 
     def resident(self) -> Iterator[Block]:
         for name in (_T1, _T2):
-            yield from self._lists[name].values()
+            yield from reversed(self._lists[name])
 
     def check_invariants(self) -> None:
         super().check_invariants()
@@ -169,10 +165,10 @@ class ARCPolicy(ReplacementPolicy):
                 f"arc: index tracks {len(self._where)} blocks, "
                 f"lists hold {sum(sizes.values())}"
             )
-        for block, (name, node) in self._where.items():
-            if node.value != block:
+        for block, name in self._where.items():
+            if block not in self._lists[name]:
                 raise ProtocolError(
-                    f"arc: index entry {block!r} points at node {node.value!r} in {name}"
+                    f"arc: index puts {block!r} in {name}, which lacks it"
                 )
 
     # -- introspection ----------------------------------------------------------
@@ -184,5 +180,4 @@ class ARCPolicy(ReplacementPolicy):
 
     def list_of(self, block: Block) -> Optional[str]:
         """Which ARC list currently tracks ``block`` (or ``None``)."""
-        entry = self._where.get(block)
-        return entry[0] if entry is not None else None
+        return self._where.get(block)

@@ -4,9 +4,8 @@ FIFO ignores references after insertion; it is included as a cheap
 baseline and as the building block of the CLOCK approximation.
 
 Structurally FIFO is LRU with the recency movement deleted: the same
-slab queue (insert at the front, evict at the back), but :meth:`touch`
-leaves the order alone. Subclassing :class:`~repro.policies.lru.LRUPolicy`
-buys the flat-array kernel for free.
+``OrderedDict`` queue (insert at the MRU end, evict at the LRU end), but
+:meth:`touch` leaves the order alone.
 """
 
 from __future__ import annotations

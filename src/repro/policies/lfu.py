@@ -1,18 +1,18 @@
 """Least Frequently Used replacement with LRU tie-breaking.
 
 Implemented with the classic O(1) frequency-list structure: a list of
-frequency buckets, each holding an LRU-ordered list of blocks with that
-reference count. Included as the canonical frequency-based baseline next
-to MQ.
+frequency buckets, each an ``OrderedDict`` of the blocks with that
+reference count in LRU order. Included as the canonical frequency-based
+baseline next to MQ.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 
 
 class LFUPolicy(ReplacementPolicy):
@@ -22,10 +22,10 @@ class LFUPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        # frequency -> list of blocks at that frequency, MRU first.
-        self._buckets: Dict[int, DoublyLinkedList[Block]] = {}
-        # block -> (frequency, node)
-        self._entries: Dict[Block, Tuple[int, ListNode[Block]]] = {}
+        # frequency -> blocks at that frequency, LRU first, MRU last.
+        self._buckets: "Dict[int, OrderedDict[Block, None]]" = {}
+        # block -> frequency
+        self._entries: Dict[Block, int] = {}
 
     def __contains__(self, block: Block) -> bool:
         return block in self._entries
@@ -33,23 +33,21 @@ class LFUPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _bucket(self, freq: int) -> DoublyLinkedList[Block]:
-        bucket = self._buckets.get(freq)
-        if bucket is None:
-            bucket = self._buckets[freq] = DoublyLinkedList()
-        return bucket
-
     def _unlink(self, block: Block) -> int:
         """Remove ``block`` from its bucket; returns its frequency."""
-        freq, node = self._entries.pop(block)
+        freq = self._entries.pop(block)
         bucket = self._buckets[freq]
-        bucket.remove(node)
+        del bucket[block]
         if not bucket:
             del self._buckets[freq]
         return freq
 
     def _link(self, block: Block, freq: int) -> None:
-        self._entries[block] = (freq, self._bucket(freq).push_front(ListNode(block)))
+        bucket = self._buckets.get(freq)
+        if bucket is None:
+            bucket = self._buckets[freq] = OrderedDict()
+        bucket[block] = None
+        self._entries[block] = freq
 
     def touch(self, block: Block) -> None:
         self._require_resident(block)
@@ -78,7 +76,7 @@ class LFUPolicy(ReplacementPolicy):
         if not self.full or not self._entries:
             return None
         min_freq = min(self._buckets)
-        return self._buckets[min_freq].tail.value  # type: ignore[union-attr]
+        return next(iter(self._buckets[min_freq]))
 
     def resident(self) -> Iterator[Block]:
         return iter(list(self._entries))
@@ -86,4 +84,4 @@ class LFUPolicy(ReplacementPolicy):
     def frequency(self, block: Block) -> int:
         """Current reference count of a resident block (for tests)."""
         self._require_resident(block)
-        return self._entries[block][0]
+        return self._entries[block]

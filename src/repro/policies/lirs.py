@@ -12,8 +12,11 @@ State:
 
 - Stack ``S`` holds LIR blocks, resident HIR blocks and a bounded number
   of non-resident HIR blocks, ordered by recency.
-- Queue ``Q`` holds the resident HIR blocks; its head is the eviction
-  victim.
+- Queue ``Q`` holds the resident HIR blocks; its oldest entry is the
+  eviction victim.
+- ``S`` and ``Q`` are ``OrderedDict`` s of block -> entry, oldest (the
+  stack bottom / queue victim) first; each entry records whether it sits
+  in ``S`` and in ``Q``.
 - The cache is split into ``capacity - hir_size`` LIR slots and
   ``hir_size`` HIR slots (``hir_size`` ~1% of capacity, at least 1).
 - Stack pruning keeps an LIR block at the bottom of ``S``.
@@ -21,11 +24,11 @@ State:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 from repro.util.validation import check_positive
 
 _LIR = "LIR"
@@ -34,13 +37,13 @@ _HIR_NONRESIDENT = "HIRn"
 
 
 class _LirsEntry:
-    __slots__ = ("block", "state", "stack_node", "queue_node")
+    __slots__ = ("block", "state", "in_stack", "in_queue")
 
     def __init__(self, block: Block, state: str) -> None:
         self.block = block
         self.state = state
-        self.stack_node: Optional[ListNode["_LirsEntry"]] = None
-        self.queue_node: Optional[ListNode["_LirsEntry"]] = None
+        self.in_stack = False
+        self.in_queue = False
 
 
 class LIRSPolicy(ReplacementPolicy):
@@ -73,8 +76,8 @@ class LIRSPolicy(ReplacementPolicy):
             self.hir_size = max(1, capacity - 1) if capacity > 1 else 1
         self.lir_size = max(1, capacity - self.hir_size)
         self.ghost_limit = max(1, int(capacity * ghost_factor))
-        self._stack: DoublyLinkedList[_LirsEntry] = DoublyLinkedList()
-        self._queue: DoublyLinkedList[_LirsEntry] = DoublyLinkedList()
+        self._stack: "OrderedDict[Block, _LirsEntry]" = OrderedDict()
+        self._queue: "OrderedDict[Block, _LirsEntry]" = OrderedDict()
         self._entries: Dict[Block, _LirsEntry] = {}
         self._lir_count = 0
         self._ghost_count = 0
@@ -92,20 +95,30 @@ class LIRSPolicy(ReplacementPolicy):
         return self._resident_count()
 
     def _stack_push(self, entry: _LirsEntry) -> None:
-        entry.stack_node = self._stack.push_front(ListNode(entry))
+        """Put ``entry`` on top of ``S`` (moving it if already there)."""
+        if entry.in_stack:
+            self._stack.move_to_end(entry.block)
+        else:
+            self._stack[entry.block] = entry
+            entry.in_stack = True
 
     def _stack_remove(self, entry: _LirsEntry) -> None:
-        if entry.stack_node is not None:
-            self._stack.remove(entry.stack_node)
-            entry.stack_node = None
+        if entry.in_stack:
+            del self._stack[entry.block]
+            entry.in_stack = False
 
     def _queue_push(self, entry: _LirsEntry) -> None:
-        entry.queue_node = self._queue.push_front(ListNode(entry))
+        """Put ``entry`` at the newest end of ``Q`` (moving it if queued)."""
+        if entry.in_queue:
+            self._queue.move_to_end(entry.block)
+        else:
+            self._queue[entry.block] = entry
+            entry.in_queue = True
 
     def _queue_remove(self, entry: _LirsEntry) -> None:
-        if entry.queue_node is not None:
-            self._queue.remove(entry.queue_node)
-            entry.queue_node = None
+        if entry.in_queue:
+            del self._queue[entry.block]
+            entry.in_queue = False
 
     def _drop_entry(self, entry: _LirsEntry) -> None:
         self._stack_remove(entry)
@@ -120,34 +133,34 @@ class LIRSPolicy(ReplacementPolicy):
         just exposed by the caller."""
         stack = self._stack
         while stack:
-            bottom = stack.tail
-            if bottom is None:
-                raise ProtocolError("non-empty LIRS stack has no tail")
-            entry = bottom.value
+            entry = next(iter(stack.values()))
             if entry.state == _LIR:
                 return
-            stack.remove(bottom)
-            entry.stack_node = None
+            del stack[entry.block]
+            entry.in_stack = False
             if entry.state == _HIR_NONRESIDENT:
                 self._ghost_count -= 1
                 del self._entries[entry.block]
             # Resident HIR entries stay tracked via the queue.
 
-    # repro: bound O(n) amortized -- the reverse walk removes ghosts
+    # repro: bound O(n) amortized -- the bottom-up walk removes ghosts
     # beyond the limit; each removed ghost was inserted once
     def _enforce_ghost_limit(self) -> None:
-        if self._ghost_count <= self.ghost_limit:
+        excess = self._ghost_count - self.ghost_limit
+        if excess <= 0:
             return
         stack = self._stack
-        for node in stack.iter_reverse():
-            entry = node.value
+        doomed: List[_LirsEntry] = []
+        for entry in stack.values():
             if entry.state == _HIR_NONRESIDENT:
-                entry.stack_node = None
-                stack.remove(node)
-                del self._entries[entry.block]
-                self._ghost_count -= 1
-                if self._ghost_count <= self.ghost_limit:
+                doomed.append(entry)
+                if len(doomed) == excess:
                     break
+        for entry in doomed:
+            del stack[entry.block]
+            entry.in_stack = False
+            del self._entries[entry.block]
+        self._ghost_count -= len(doomed)
         self._prune_stack()
 
     def _evict_hir_victim(self) -> Block:
@@ -161,12 +174,9 @@ class LIRSPolicy(ReplacementPolicy):
             self._demote_lir_bottom()
         if not self._queue:
             raise ProtocolError("LIRS eviction with empty HIR queue")
-        node = self._queue.tail
-        if node is None:
-            raise ProtocolError("non-empty LIRS queue has no tail")
-        entry = node.value
-        self._queue_remove(entry)
-        if entry.stack_node is not None:
+        entry = self._queue.popitem(last=False)[1]
+        entry.in_queue = False
+        if entry.in_stack:
             entry.state = _HIR_NONRESIDENT
             self._ghost_count += 1
             self._enforce_ghost_limit()
@@ -183,10 +193,9 @@ class LIRSPolicy(ReplacementPolicy):
         pruning it away first.
         """
         self._prune_stack()
-        bottom = self._stack.tail
-        if bottom is None:
+        if not self._stack:
             raise ProtocolError("LIRS demotion with no LIR block in stack")
-        entry = bottom.value
+        entry = next(iter(self._stack.values()))
         if entry.state != _LIR:
             raise ProtocolError("LIRS stack bottom is not LIR after pruning")
         self._stack_remove(entry)
@@ -201,25 +210,22 @@ class LIRSPolicy(ReplacementPolicy):
         self._require_resident(block)
         entry = self._entries[block]
         if entry.state == _LIR:
-            was_bottom = self._stack.tail is entry.stack_node
-            self._stack_remove(entry)
+            was_bottom = next(iter(self._stack)) == block
             self._stack_push(entry)
             if was_bottom:
                 self._prune_stack()
             return
         # Resident HIR hit.
-        if entry.stack_node is not None:
+        if entry.in_stack:
             # In stack: promote to LIR; demote the LIR bottom to HIR.
-            self._stack_remove(entry)
+            self._stack_push(entry)
             self._queue_remove(entry)
             entry.state = _LIR
             self._lir_count += 1
-            self._stack_push(entry)
             if self._lir_count > self.lir_size:
                 self._demote_lir_bottom()
         else:
             # Not in stack: stays HIR, moves to queue MRU, re-enters stack.
-            self._queue_remove(entry)
             self._queue_push(entry)
             self._stack_push(entry)
 
@@ -237,10 +243,9 @@ class LIRSPolicy(ReplacementPolicy):
         if entry is not None:
             # Ghost hit: small inter-reference recency, promote to LIR.
             self._ghost_count -= 1
-            self._stack_remove(entry)
+            self._stack_push(entry)
             entry.state = _LIR
             self._lir_count += 1
-            self._stack_push(entry)
             if self._lir_count > self.lir_size:
                 self._demote_lir_bottom()
             return evicted
@@ -273,15 +278,14 @@ class LIRSPolicy(ReplacementPolicy):
     def victim(self) -> Optional[Block]:
         if not self.full:
             return None
-        tail = self._queue.tail
-        if tail is not None:
-            return tail.value.block
+        if self._queue:
+            return next(iter(self._queue))
         # Degenerate: all resident blocks are LIR (can happen transiently
         # for capacity 1); the next eviction demotes the bottom-most LIR
         # block, so peek that.  Pure walk: skip unpruned HIR entries.
-        for node in self._stack.iter_reverse():
-            if node.value.state == _LIR:
-                return node.value.block
+        for block, entry in self._stack.items():
+            if entry.state == _LIR:
+                return block
         return None
 
     def resident(self) -> Iterator[Block]:
@@ -297,19 +301,19 @@ class LIRSPolicy(ReplacementPolicy):
                 raise ProtocolError(f"lirs: entry keyed {block!r} holds {entry.block!r}")
             if entry.state == _LIR:
                 lir += 1
-                if entry.stack_node is None:
+                if not entry.in_stack:
                     raise ProtocolError(f"lirs: LIR block {block!r} not in stack")
-                if entry.queue_node is not None:
+                if entry.in_queue:
                     raise ProtocolError(f"lirs: LIR block {block!r} in HIR queue")
             elif entry.state == _HIR_RESIDENT:
                 hir_resident += 1
-                if entry.queue_node is None:
+                if not entry.in_queue:
                     raise ProtocolError(f"lirs: resident HIR block {block!r} not in queue")
             elif entry.state == _HIR_NONRESIDENT:
                 ghosts += 1
-                if entry.stack_node is None:
+                if not entry.in_stack:
                     raise ProtocolError(f"lirs: ghost {block!r} not in stack")
-                if entry.queue_node is not None:
+                if entry.in_queue:
                     raise ProtocolError(f"lirs: ghost {block!r} in HIR queue")
             else:
                 raise ProtocolError(f"lirs: block {block!r} has state {entry.state!r}")
@@ -330,13 +334,17 @@ class LIRSPolicy(ReplacementPolicy):
                 f"lirs: queue length {len(self._queue)} != "
                 f"{hir_resident} resident HIR entries"
             )
-        in_stack = sum(1 for _ in self._stack)
-        tracked = sum(
-            1 for e in self._entries.values() if e.stack_node is not None
-        )
-        if in_stack != tracked:
+        for name, members in (("stack", self._stack), ("queue", self._queue)):
+            for block, entry in members.items():
+                if self._entries.get(block) is not entry:
+                    raise ProtocolError(
+                        f"lirs: {name} holds {block!r} with a stale entry"
+                    )
+        tracked = sum(1 for e in self._entries.values() if e.in_stack)
+        if len(self._stack) != tracked:
             raise ProtocolError(
-                f"lirs: stack length {in_stack} != {tracked} tracked stack nodes"
+                f"lirs: stack length {len(self._stack)} != {tracked} "
+                f"entries flagged in stack"
             )
 
     # -- introspection ---------------------------------------------------------

@@ -2,19 +2,17 @@
 
 LRU is the workhorse of the paper: the client policy in every scheme, the
 per-level policy of indLRU, and the basis of uniLRU and of ULC's stacks.
-All operations are O(1) over the flat-array slab list
-(:mod:`repro.util.intlist`): a block maps to a slab slot, and the recency
-stack is splices on ``prev``/``next`` integer arrays — no per-reference
-node allocation.
+The recency stack is one ``OrderedDict`` keyed by block: the first key
+is the LRU (eviction) end, the last key the MRU end, and every operation
+is one C-level ``move_to_end`` / ``popitem`` / store / delete.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import OrderedDict
+from typing import Iterator, List, Optional
 
-from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -24,111 +22,43 @@ class LRUPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._stack = IntLinkedList()
-        self._slots: Dict[Block, int] = {}
-        self._block_at: List[Optional[Block]] = [None]
+        # block -> None, LRU first, MRU last.
+        self._order: "OrderedDict[Block, object]" = OrderedDict()
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._slots
+        return block in self._order
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    def _alloc(self, block: Block) -> int:
-        slot = self._stack.slab.alloc()
-        if slot == len(self._block_at):
-            self._block_at.append(block)
-        else:
-            self._block_at[slot] = block
-        self._slots[block] = slot
-        return slot
-
-    def _release(self, slot: int) -> Block:
-        block = self._block_at[slot]
-        self._block_at[slot] = None
-        self._stack.slab.free(slot)
-        del self._slots[block]
-        return block
+        return len(self._order)
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        try:
+            self._order.move_to_end(block)
+        except KeyError:
             self._require_resident(block)
-            return  # pragma: no cover - _require_resident raised
-        # Inline move_to_front (kernel contract; hot path).
-        stack = self._stack
-        prv, nxt = stack.prev, stack.next
-        if nxt[SENTINEL] == slot:
-            return
-        p, n = prv[slot], nxt[slot]
-        nxt[p] = n
-        prv[n] = p
-        first = nxt[SENTINEL]
-        prv[slot] = SENTINEL
-        nxt[slot] = first
-        prv[first] = slot
-        nxt[SENTINEL] = slot
 
     def insert(self, block: Block) -> List[Block]:
-        slots = self._slots
-        if block in slots:
+        order = self._order
+        if block in order:
             self._require_absent(block)
         evicted: List[Block] = []
-        stack = self._stack
-        prv, nxt = stack.prev, stack.next
-        if len(slots) >= self.capacity:
-            # Inline pop_back of the eviction-end slot.
-            tail = prv[SENTINEL]
-            p = prv[tail]
-            nxt[p] = SENTINEL
-            prv[SENTINEL] = p
-            prv[tail] = UNLINKED
-            nxt[tail] = UNLINKED
-            stack.size -= 1
-            evicted.append(self._release(tail))
-        slot = self._alloc(block)
-        first = nxt[SENTINEL]
-        prv[slot] = SENTINEL
-        nxt[slot] = first
-        prv[first] = slot
-        nxt[SENTINEL] = slot
-        stack.size += 1
+        if len(order) >= self.capacity:
+            evicted.append(order.popitem(last=False)[0])
+        order[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        slot = self._slots[block]
-        self._stack.remove(slot)
-        self._release(slot)
+        del self._order[block]
 
     def victim(self) -> Optional[Block]:
-        if not self.full or not self._stack.size:
+        if len(self._order) < self.capacity:
             return None
-        return self._block_at[self._stack.prev[SENTINEL]]
+        return next(iter(self._order))
 
     def resident(self) -> Iterator[Block]:
         """Iterate blocks from most to least recently used."""
-        block_at = self._block_at
-        for slot in self._stack:
-            block = block_at[slot]
-            if block is not None:
-                yield block
-
-    def check_invariants(self) -> None:
-        """Slot index and stack must agree."""
-        super().check_invariants()
-        self._stack.check_invariants()
-        if self._stack.size != len(self._slots):
-            raise ProtocolError(
-                f"{self.name}: stack size {self._stack.size} != "
-                f"{len(self._slots)} indexed blocks"
-            )
-        for block, slot in self._slots.items():
-            if self._block_at[slot] != block:
-                raise ProtocolError(
-                    f"{self.name}: slot {slot} holds "
-                    f"{self._block_at[slot]!r}, index says {block!r}"
-                )
+        return reversed(self._order)
 
     # -- extras used by the unified schemes --------------------------------
 
@@ -139,11 +69,8 @@ class LRUPolicy(ReplacementPolicy):
         blocks of "cache-polluting" clients at the LRU end instead of the
         MRU end; this hook supports that variant.
         """
-        self._require_absent(block)
-        evicted: List[Block] = []
-        if self.full:
-            evicted.append(self._release(self._stack.pop_back()))
-        self._stack.push_back(self._alloc(block))
+        evicted = self.insert(block)
+        self._order.move_to_end(block, last=False)
         return evicted
 
     def recency_order(self) -> List[Block]:
@@ -163,13 +90,14 @@ class MRUPolicy(LRUPolicy):
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
+        order = self._order
         evicted: List[Block] = []
-        if self.full:
-            evicted.append(self._release(self._stack.pop_front()))
-        self._stack.push_front(self._alloc(block))
+        if len(order) >= self.capacity:
+            evicted.append(order.popitem()[0])
+        order[block] = None
         return evicted
 
     def victim(self) -> Optional[Block]:
-        if not self.full or not self._stack.size:
+        if len(self._order) < self.capacity:
             return None
-        return self._block_at[self._stack.next[SENTINEL]]
+        return next(reversed(self._order))

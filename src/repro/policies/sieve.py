@@ -41,7 +41,7 @@ class SIEVEPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._slots)
 
-    # -- slab bookkeeping (same shape as LRUPolicy) ------------------------
+    # -- slab bookkeeping ------------------------------------------------
 
     def _alloc(self, block: Block) -> int:
         slot = self._queue.slab.alloc()

@@ -17,7 +17,6 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 from repro.util.validation import check_fraction
 
 _A1IN = "a1in"
@@ -42,10 +41,11 @@ class TwoQPolicy(ReplacementPolicy):
         if self.kin >= capacity and capacity > 1:
             self.kin = capacity - 1
         self.kout = max(1, int(capacity * kout_fraction))
-        self._a1in: DoublyLinkedList[Block] = DoublyLinkedList()  # FIFO
-        self._am: DoublyLinkedList[Block] = DoublyLinkedList()    # LRU
-        self._where: Dict[Block, tuple] = {}  # block -> (list name, node)
-        self._a1out: "OrderedDict[Block, None]" = OrderedDict()   # ghosts
+        # Each queue is oldest first, newest last.
+        self._a1in: "OrderedDict[Block, None]" = OrderedDict()   # FIFO
+        self._am: "OrderedDict[Block, None]" = OrderedDict()     # LRU
+        self._where: Dict[Block, str] = {}  # block -> queue name
+        self._a1out: "OrderedDict[Block, None]" = OrderedDict()  # ghosts
 
     def __contains__(self, block: Block) -> bool:
         return block in self._where
@@ -56,26 +56,23 @@ class TwoQPolicy(ReplacementPolicy):
     # repro: bound O(1) amortized -- the A1out trim pops at most the
     # ghosts earlier evictions pushed
     def _evict_one(self) -> Block:
-        """Reclaim per 2Q: prefer the A1in tail (remembering its ghost),
-        otherwise the Am LRU tail."""
+        """Reclaim per 2Q: prefer the oldest A1in block (remembering its
+        ghost), otherwise the Am LRU block."""
         if len(self._a1in) > self.kin or not self._am:
-            node = self._a1in.pop_back()
-            victim = node.value
+            victim = self._a1in.popitem(last=False)[0]
             a1out = self._a1out
             a1out[victim] = None
             while len(a1out) > self.kout:
                 a1out.popitem(last=False)
         else:
-            node = self._am.pop_back()
-            victim = node.value
+            victim = self._am.popitem(last=False)[0]
         del self._where[victim]
         return victim
 
     def touch(self, block: Block) -> None:
         self._require_resident(block)
-        where, node = self._where[block]
-        if where == _AM:
-            self._am.move_to_front(node)
+        if self._where[block] == _AM:
+            self._am.move_to_end(block)
         # A hit in A1in leaves the block in place (2Q's defining rule:
         # correlated re-references inside probation prove nothing).
 
@@ -86,29 +83,28 @@ class TwoQPolicy(ReplacementPolicy):
             evicted.append(self._evict_one())
         if block in self._a1out:
             del self._a1out[block]
-            self._where[block] = (_AM, self._am.push_front(ListNode(block)))
+            self._am[block] = None
+            self._where[block] = _AM
         else:
-            self._where[block] = (
-                _A1IN,
-                self._a1in.push_front(ListNode(block)),
-            )
+            self._a1in[block] = None
+            self._where[block] = _A1IN
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        where, node = self._where.pop(block)
-        (self._am if where == _AM else self._a1in).remove(node)
+        where = self._where.pop(block)
+        del (self._am if where == _AM else self._a1in)[block]
 
     def victim(self) -> Optional[Block]:
         if not self.full:
             return None
         if len(self._a1in) > self.kin or not self._am:
-            return self._a1in.tail.value  # type: ignore[union-attr]
-        return self._am.tail.value  # type: ignore[union-attr]
+            return next(iter(self._a1in))
+        return next(iter(self._am))
 
     def resident(self) -> Iterator[Block]:
-        yield from self._a1in.values()
-        yield from self._am.values()
+        yield from reversed(self._a1in)
+        yield from reversed(self._am)
 
     def check_invariants(self) -> None:
         super().check_invariants()
@@ -121,10 +117,10 @@ class TwoQPolicy(ReplacementPolicy):
                 f"2q: index tracks {len(self._where)} blocks, queues hold "
                 f"{len(self._a1in) + len(self._am)}"
             )
-        for block, (name, node) in self._where.items():
-            if node.value != block:
+        for block, name in self._where.items():
+            if block not in (self._am if name == _AM else self._a1in):
                 raise ProtocolError(
-                    f"2q: index entry {block!r} points at node {node.value!r} in {name}"
+                    f"2q: index puts {block!r} in {name}, which lacks it"
                 )
             if block in self._a1out:
                 raise ProtocolError(f"2q: block {block!r} both resident and ghost")
@@ -136,4 +132,4 @@ class TwoQPolicy(ReplacementPolicy):
     def queue_of(self, block: Block) -> str:
         """``"a1in"`` or ``"am"`` for a resident block (tests)."""
         self._require_resident(block)
-        return self._where[block][0]
+        return self._where[block]

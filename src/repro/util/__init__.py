@@ -5,8 +5,8 @@ that the caching protocols and the analysis pipeline are built on:
 
 - :mod:`repro.util.fenwick` — binary indexed trees with order-statistic
   queries, used for O(log n) recency ranks.
-- :mod:`repro.util.linkedlist` — an intrusive doubly linked list with O(1)
-  splicing, the backbone of every LRU-style stack in the library.
+- :mod:`repro.util.intlist` — slab-allocated doubly linked lists over flat
+  integer arrays, for the structures that splice at arbitrary positions.
 - :mod:`repro.util.ostree` — an order-statistic treap (sorted multiset with
   rank queries), used by the measure analysis.
 - :mod:`repro.util.rng` — deterministic random number helpers.
@@ -16,7 +16,6 @@ that the caching protocols and the analysis pipeline are built on:
 """
 
 from repro.util.fenwick import FenwickTree
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 from repro.util.ostree import OrderStatisticTree
 from repro.util.rng import make_rng, spawn_seeds
 from repro.util.stats import RunningStats, Histogram
@@ -30,8 +29,6 @@ from repro.util.validation import (
 
 __all__ = [
     "FenwickTree",
-    "DoublyLinkedList",
-    "ListNode",
     "OrderStatisticTree",
     "make_rng",
     "spawn_seeds",

@@ -1,19 +1,18 @@
 """Slab-allocated intrusive linked lists over flat integer arrays.
 
-This is the array kernel under every LRU-family structure in the
-library (plain LRU, MQ's queues, the uniLRUstack's global and per-level
-lists, the server's gLRU). It replaces the pointer-object representation
-(:mod:`repro.util.linkedlist`) on the hot paths: instead of one
-:class:`~repro.util.linkedlist.ListNode` object per element per list,
-elements are integer *slots* handed out by an :class:`IntSlab`, and each
+This is the array kernel under the structures that splice at arbitrary
+positions: the uniLRUstack's global and per-level lists, the server
+gLRU's ``insert_before`` / ``insert_after`` for DemotionSearching, and
+SIEVE's hand (plus MQ, S3-FIFO, W-TinyLFU and LeCaR). Queues that only
+push, pop, move to an end or delete by key use ``OrderedDict`` instead.
+Elements are integer *slots* handed out by an :class:`IntSlab`, and each
 :class:`IntLinkedList` stores its links in two plain Python lists
 (``prev`` / ``next``) indexed by slot.
 
-Why this layout wins (cf. Inoue's multi-step LRU, arXiv:2112.09981):
+Why this layout (cf. Inoue's multi-step LRU, arXiv:2112.09981):
 
 - zero allocation on the steady-state path — a splice or move-to-front
-  writes four list cells; the pointer design allocated a fresh node
-  object per (re)insertion;
+  writes four list cells, with no node object per (re)insertion;
 - several lists can share one slot space: the uniLRUstack links every
   tracked block into the global list *and* one per-level list using the
   same slot, so one dictionary lookup keys all of them;
@@ -35,8 +34,7 @@ invariants checked by :meth:`IntLinkedList.check_invariants`:
 - an unlinked slot has ``prev[slot] == next[slot] == UNLINKED``.
 
 The head end (``next[0]``) is the most-recently-used end for every
-stack built on this class; the tail (``prev[0]``) is the eviction end —
-the same orientation as :class:`~repro.util.linkedlist.DoublyLinkedList`.
+stack built on this class; the tail (``prev[0]``) is the eviction end.
 """
 
 from __future__ import annotations
@@ -158,11 +156,9 @@ class IntSlab:
 class IntLinkedList:
     """Doubly linked list of slab slots with O(1) splicing.
 
-    Operationally equivalent to
-    :class:`~repro.util.linkedlist.DoublyLinkedList`, with integer slots
-    in place of node objects: linking an already-linked slot or touching
-    a slot this list does not own raises :class:`ProtocolError`, and the
-    head is the MRU end.
+    Integer slots stand in for node objects: linking an already-linked
+    slot or touching a slot this list does not own raises
+    :class:`ProtocolError`, and the head is the MRU end.
 
     The ``prev`` / ``next`` arrays are public for kernel callers (see
     the module docstring); everyone else should stay on the methods.

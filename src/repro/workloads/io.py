@@ -158,7 +158,7 @@ def load_text(path: PathLike) -> Trace:
                     raise TraceFormatError(
                         f"{path}:{line_number}: bad trace line {line!r} ({exc})"
                     ) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     return Trace(blocks, clients, TraceInfo(name=name, pattern=pattern))
 
@@ -492,7 +492,7 @@ def stream_text(
                     yield _flush_chunk(blocks, clients, offset)
                     offset += len(blocks)
                     blocks, clients = [], []
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     if blocks:
         yield _flush_chunk(blocks, clients, offset)
@@ -515,7 +515,7 @@ def text_trace_info(path: PathLike) -> TraceInfo:
                     name = body[len("name:"):].strip()
                 elif body.startswith("pattern:"):
                     pattern = body[len("pattern:"):].strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     return TraceInfo(name=name, pattern=pattern)
 
@@ -564,7 +564,7 @@ def stream_csv(
                     yield _flush_chunk(blocks, clients, offset)
                     offset += len(blocks)
                     blocks, clients = [], []
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     if blocks:
         yield _flush_chunk(blocks, clients, offset)

@@ -596,8 +596,8 @@ class TestLiveTree:
         assert isinstance(stack.role_of("_levels"), ListSetRole)
         assert stack.role_of("_global").space == stack.role_of("_slab").space
         assert stack.role_of("_levels").space == stack.role_of("_slab").space
-        lru = models["LRUPolicy"]
-        assert isinstance(lru.role_of("_stack"), ListRole)
+        sieve = models["SIEVEPolicy"]
+        assert isinstance(sieve.role_of("_queue"), ListRole)
 
     def test_live_tree_summaries_capture_release_idiom(self):
         from repro.checks.flow.project import Project
@@ -616,7 +616,7 @@ class TestLiveTree:
             for qualname, s in summaries.items()
             if s.returns_alloc is not None
         }
-        assert any(q.endswith("LRUPolicy._release") for q in frees)
+        assert any(q.endswith("SIEVEPolicy._release") for q in frees)
         assert any(q.endswith("ULCServer._release_slot") for q in frees)
-        assert any(q.endswith("LRUPolicy._alloc") for q in allocs)
+        assert any(q.endswith("SIEVEPolicy._alloc") for q in allocs)
         assert any(q.endswith("UniLRUStack._alloc") for q in allocs)

@@ -114,6 +114,34 @@ class TestSimulate:
         assert len(err) == 1
         assert "warm-up fraction 1.0 covers all 50 references" in err[0]
 
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
+    def test_non_utf8_trace_exits_two(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe1\x002\x00\n")
+        code = main(
+            ["simulate", "--scheme", "ulc", "--levels", "4", "4",
+             "--trace", str(path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "T_ave" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot read trace")
+
+    @pytest.mark.parametrize("refs", ["-5", "0"])
+    def test_non_positive_refs_exits_two(self, capsys, refs):
+        code = main(
+            ["simulate", "--scheme", "ulc", "--levels", "4", "4",
+             "--workload", "zipf", "--refs", refs]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "T_ave" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error: --refs must be at least 1, got {refs}"
+
     def test_batch_size_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(

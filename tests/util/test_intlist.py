@@ -1,11 +1,12 @@
-"""Property tests: IntLinkedList/IntSlab vs DoublyLinkedList.
+"""Property tests: IntLinkedList/IntSlab vs a plain Python list model.
 
-The slab list is the array kernel under every LRU-family structure; it
-must behave exactly like the pointer-object list it replaced. A random
-operation interpreter drives both implementations in lockstep — two
-slab lists sharing one slot space, mirrored by two node lists — and
-compares order, size, neighbours and error behaviour after every step,
-then validates the array invariants and slab accounting.
+The slab list is the array kernel under the structures that splice at
+arbitrary positions (the uniLRUstack, the server gLRU, SIEVE's hand). A
+random operation interpreter drives it in lockstep with a model — two
+slab lists sharing one slot space, each mirrored by a Python ``list`` of
+slots, head first — and compares order, size, ends and error behaviour
+after every step, then validates the array invariants and slab
+accounting.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList, IntSlab
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 
 OPS = (
     "alloc",
@@ -43,37 +43,34 @@ operations = st.lists(
 
 
 class Lockstep:
-    """Drive an IntLinkedList pair and a DoublyLinkedList pair together.
+    """Drive an IntLinkedList pair and its list-of-slots model together.
 
     Both slab lists share one :class:`IntSlab` (the layout the
     uniLRUstack uses: the same slot linked into the global and a level
-    list); each (slot, list) pair is mirrored by a dedicated ListNode.
+    list); each is mirrored by a Python list of slots, head first.
     """
 
     def __init__(self) -> None:
         self.slab = IntSlab()
         self.real = [IntLinkedList(self.slab), IntLinkedList(self.slab)]
-        self.mirror = [DoublyLinkedList(), DoublyLinkedList()]
-        # slot -> [ListNode for list 0, ListNode for list 1]
-        self.nodes = {}
+        self.mirror = [[], []]
+        self.allocated = set()
 
     # -- operand selection (deterministic in the op's integers) ----------
 
     def pick_slot(self, index: int):
-        slots = sorted(self.nodes)
+        slots = sorted(self.allocated)
         return slots[index % len(slots)] if slots else None
 
     def assert_equal(self) -> None:
         for lst, mirror in zip(self.real, self.mirror):
-            assert lst.to_list() == [n.value for n in mirror]
+            assert lst.to_list() == mirror
             assert len(lst) == len(mirror)
             assert bool(lst) == bool(mirror)
-            assert lst.head == (
-                mirror.head.value if mirror.head is not None else None
-            )
-            assert lst.tail == (
-                mirror.tail.value if mirror.tail is not None else None
-            )
+            assert lst.head == (mirror[0] if mirror else None)
+            assert lst.tail == (mirror[-1] if mirror else None)
+            for slot in self.allocated:
+                assert lst.linked(slot) == (slot in mirror)
 
     def run(self, ops) -> None:
         for name, a, b in ops:
@@ -91,60 +88,59 @@ class Lockstep:
         if name == "alloc":
             fresh = self.slab.alloc()
             assert fresh != SENTINEL
+            assert fresh not in self.allocated
             assert not any(other.linked(fresh) for other in self.real)
-            self.nodes[fresh] = [ListNode(fresh), ListNode(fresh)]
+            self.allocated.add(fresh)
             return
         if slot is None:
             return
-        node = self.nodes[slot][which]
 
         if name == "free":
-            if any(other.linked(slot) for other in self.real):
+            if any(slot in other for other in self.mirror):
                 with pytest.raises(ProtocolError):
                     self.slab.free(slot)
                 return
             self.slab.free(slot)
-            del self.nodes[slot]
+            self.allocated.discard(slot)
         elif name in ("push_front", "push_back"):
-            if lst.linked(slot):
+            if slot in mirror:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)(slot)
-                with pytest.raises(ProtocolError):
-                    getattr(mirror, name)(node)
                 return
             getattr(lst, name)(slot)
-            getattr(mirror, name)(node)
+            if name == "push_front":
+                mirror.insert(0, slot)
+            else:
+                mirror.append(slot)
         elif name in ("insert_before", "insert_after"):
             anchor = self.pick_slot(b)
             if anchor is None:
                 return
-            anchor_node = self.nodes[anchor][which]
-            if lst.linked(slot) or not lst.linked(anchor):
+            if slot in mirror or anchor not in mirror:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)(slot, anchor)
-                with pytest.raises(ProtocolError):
-                    getattr(mirror, name)(node, anchor_node)
                 return
             getattr(lst, name)(slot, anchor)
-            getattr(mirror, name)(node, anchor_node)
+            index = mirror.index(anchor)
+            mirror.insert(index if name == "insert_before" else index + 1, slot)
         elif name in ("remove", "move_to_front", "move_to_back"):
-            if not lst.linked(slot):
+            if slot not in mirror:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)(slot)
-                with pytest.raises(ProtocolError):
-                    getattr(mirror, name)(node)
                 return
             getattr(lst, name)(slot)
-            getattr(mirror, name)(node)
+            mirror.remove(slot)
+            if name == "move_to_front":
+                mirror.insert(0, slot)
+            elif name == "move_to_back":
+                mirror.append(slot)
         elif name in ("pop_front", "pop_back"):
-            if len(lst) == 0:
+            if not mirror:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)()
-                with pytest.raises(ProtocolError):
-                    getattr(mirror, name)()
                 return
             popped = getattr(lst, name)()
-            assert popped == getattr(mirror, name)().value
+            assert popped == mirror.pop(0 if name == "pop_front" else -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,21 +153,17 @@ def test_neighbour_queries_match():
     state = Lockstep()
     for _ in range(6):
         state.step("alloc", 0, 0)
-    slots = sorted(state.nodes)
+    slots = sorted(state.allocated)
     for slot in slots[:4]:
         state.step("push_back", slots.index(slot), 0)
     lst, mirror = state.real[0], state.mirror[0]
-    for slot in lst.to_list():
-        node = state.nodes[slot][0]
-        towards_head = lst.next_towards_head(slot)
-        mirror_head = mirror.next_towards_head(node)
-        assert towards_head == (
-            mirror_head.value if mirror_head is not None else None
+    assert lst.to_list() == mirror == slots[:4]
+    for index, slot in enumerate(mirror):
+        assert lst.next_towards_head(slot) == (
+            mirror[index - 1] if index > 0 else None
         )
-        towards_tail = lst.next_towards_tail(slot)
-        mirror_tail = mirror.next_towards_tail(node)
-        assert towards_tail == (
-            mirror_tail.value if mirror_tail is not None else None
+        assert lst.next_towards_tail(slot) == (
+            mirror[index + 1] if index + 1 < len(mirror) else None
         )
 
 
@@ -240,3 +232,15 @@ def test_iteration_tolerates_removing_current():
         seen.append(slot)
         lst.remove(slot)
     assert seen == slots
+
+
+def test_insert_before_and_after_splice_at_anchor():
+    slab = IntSlab()
+    lst = IntLinkedList(slab)
+    a, b, c, d = (slab.alloc() for _ in range(4))
+    lst.push_back(a)
+    lst.push_back(b)
+    lst.insert_before(c, b)
+    lst.insert_after(d, b)
+    assert lst.to_list() == [a, c, b, d]
+    lst.check_invariants()

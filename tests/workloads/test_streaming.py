@@ -26,10 +26,13 @@ from repro.workloads.io import (
     DenseInterner,
     convert_to_columnar,
     iter_chunks,
+    load_text,
     open_trace_chunks,
     save_columnar,
     stream_binary,
     stream_csv,
+    stream_text,
+    text_trace_info,
 )
 
 
@@ -192,6 +195,33 @@ class TestCorruptColumnar:
         column.write_bytes(column.read_bytes()[:-8])
         with pytest.raises(TraceFormatError):
             ColumnarTrace(path)
+
+
+class TestNonUtf8Text:
+    """A text/CSV trace that is not UTF-8 is a format error, not a
+    ``UnicodeDecodeError`` escaping the reader."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1\x002\x00\n")
+        return bad
+
+    def test_load_text(self, path):
+        with pytest.raises(TraceFormatError):
+            load_text(path)
+
+    def test_stream_text(self, path):
+        with pytest.raises(TraceFormatError):
+            list(stream_text(path))
+
+    def test_stream_csv(self, path):
+        with pytest.raises(TraceFormatError):
+            list(stream_csv(path))
+
+    def test_text_trace_info(self, path):
+        with pytest.raises(TraceFormatError):
+            text_trace_info(path)
 
 
 class TestDenseInterner:
