@@ -6,7 +6,7 @@
 PYTHON ?= python
 
 .PHONY: check check-shallow check-deep check-kernel check-bounds lint \
-	test bench mrc-approx baseline hash-schema
+	test perfbench-test bench mrc-approx baseline hash-schema
 
 check: lint check-shallow check-deep check-kernel check-bounds
 
@@ -28,6 +28,12 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -q
+
+# The repo benchmark's self-tests (also run by CI's perfbench job): the
+# real fig6-single / fig7-multi / policy-grid grids against every
+# committed cell digest in perfbench/digests.json (~3 min on 2 cores).
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 bench:
 	$(PYTHON) -m repro bench --smoke --threshold 0.30 \

@@ -123,7 +123,7 @@ class ULCServer:
         glru = self._glru
         slot = self._slots.get(block)
         if slot is not None:
-            # Inline move_to_front (kernel contract; hot path).
+            # Inline move to the head (kernel contract; hot path).
             self._owner_at[slot] = owner
             prv, nxt = glru.prev, glru.next
             if nxt[SENTINEL] != slot:

@@ -272,8 +272,8 @@ class UniLRUStack:
         This is the metadata effect of a reference: recency becomes the
         smallest (status ``R_1``) and the level status is re-ranked to
         ``new_level`` (the block's recency region at access time, per the
-        LLD rule). The splices below are the inlined kernel form of
-        ``move_to_front`` + ``remove`` + ``push_front`` — this is the
+        LLD rule). The splices below are the inlined kernel form of a
+        move to the head + ``remove`` + ``push_front`` — this is the
         hottest mutator in the library.
         """
         slot = node.slot

@@ -12,12 +12,14 @@ an exponentially decayed learning signal:
 where ``age`` is the number of references since that block's eviction
 and ``discount = 0.005 ** (1 / capacity)`` (both from the paper).
 
-The resident set is one slab list in recency order; frequencies are a
-flat slot-indexed array. The LFU expert's victim is the least recently
-used block among those of minimal frequency (deterministic tie-break).
-Randomness comes from a seeded generator only, and the next expert
-draw is pre-computed and cached so :meth:`victim` is a stable pure
-peek of the eviction that would happen.
+The resident set is one ``OrderedDict`` in recency order (first key =
+LRU end); frequencies live in a separate plain dict, because the LFU
+expert's ``min()`` over a plain dict's values is much cheaper than
+over an ``OrderedDict``'s. The LFU expert's victim is the least
+recently used block among those of minimal frequency (deterministic
+tie-break). Randomness comes from a seeded generator only, and the
+next expert draw is pre-computed and cached so :meth:`victim` is a
+stable pure peek of the eviction that would happen.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import math
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import SENTINEL, IntLinkedList
 from repro.util.rng import make_stdlib_rng
+from repro.util.validation import check_finite, check_positive
 
 _LRU = 0
 _LFU = 1
@@ -59,21 +61,21 @@ class LeCaRPolicy(ReplacementPolicy):
         history_factor: float = 1.0,
     ) -> None:
         super().__init__(capacity)
-        if learning_rate <= 0:
-            raise ProtocolError(
-                f"learning_rate must be positive, got {learning_rate}"
-            )
+        check_positive("learning_rate", learning_rate)
+        check_finite("learning_rate", learning_rate)
         if not 0 < discount_base < 1:
-            raise ProtocolError(
-                f"discount_base must be in (0, 1), got {discount_base}"
+            raise ConfigurationError(
+                f"discount_base must be in (0, 1), got {discount_base!r}"
             )
+        check_positive("history_factor", history_factor)
+        check_finite("history_factor", history_factor)
         self.learning_rate = learning_rate
         self.discount = discount_base ** (1.0 / capacity)
         self.history_capacity = max(1, int(capacity * history_factor))
-        self._recency = IntLinkedList()
-        self._slots: Dict[Block, int] = {}
-        self._block_at: List[Optional[Block]] = [None]
-        self._freq: List[int] = [0]
+        # Resident blocks, first key = LRU end, last key = MRU end.
+        self._recency: "OrderedDict[Block, None]" = OrderedDict()
+        # block -> reference count, for every resident block.
+        self._freq: Dict[Block, int] = {}
         self._weights = [0.5, 0.5]
         # Per-expert ghost lists: block -> (eviction time, frequency).
         self._history: Tuple[
@@ -86,62 +88,30 @@ class LeCaRPolicy(ReplacementPolicy):
         self._pending_draw: Optional[float] = None
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._slots
+        return block in self._freq
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    # -- slab bookkeeping --------------------------------------------------
-
-    def _alloc(self, block: Block) -> int:
-        slot = self._recency.slab.alloc()
-        if slot == len(self._block_at):
-            self._block_at.append(block)
-            self._freq.append(0)
-        else:
-            self._block_at[slot] = block
-            self._freq[slot] = 0
-        self._slots[block] = slot
-        return slot
-
-    def _release(self, slot: int) -> Block:
-        block = self._block_at[slot]
-        self._block_at[slot] = None
-        self._freq[slot] = 0
-        self._recency.slab.free(slot)
-        del self._slots[block]
-        return block
+        return len(self._freq)
 
     # -- the experts -------------------------------------------------------
 
-    def _lru_victim_slot(self) -> int:
-        tail = self._recency.tail
-        if tail is None:  # pragma: no cover - defensive
+    def _lru_victim(self) -> Block:
+        if not self._recency:  # pragma: no cover - defensive
             raise ProtocolError("lecar: eviction with empty cache")
-        return tail
+        return next(iter(self._recency))
 
-    # repro: bound O(n) -- two reverse walks over the recency chain
-    # find the LRU minimal-frequency holder without an index
-    def _lfu_victim_slot(self) -> int:
+    # repro: bound O(n) -- a min over the frequencies and a walk over
+    # the recency order find the LRU minimal-frequency holder without
+    # an index
+    def _lfu_victim(self) -> Block:
         """Least recently used among the minimal-frequency blocks."""
         freq = self._freq
-        prv = self._recency.prev
-        # One reverse walk over the recency chain (kernel arrays) finds
-        # the minimum; a second stops at its last holder.
-        min_freq = -1
-        slot = prv[SENTINEL]
-        while slot != SENTINEL:
-            value = freq[slot]
-            if min_freq < 0 or value < min_freq:
-                min_freq = value
-            slot = prv[slot]
-        slot = prv[SENTINEL]
-        while slot != SENTINEL:
-            if freq[slot] == min_freq:
-                return slot
-            slot = prv[slot]
+        min_freq = min(freq.values())
+        for block in self._recency:
+            if freq[block] == min_freq:
+                return block
         raise ProtocolError(  # pragma: no cover - defensive
-            "lecar: no slot carries the minimal frequency"
+            "lecar: no block carries the minimal frequency"
         )
 
     def _draw(self) -> float:
@@ -183,27 +153,24 @@ class LeCaRPolicy(ReplacementPolicy):
     def _evict_one(self) -> Block:
         expert = self._choose_expert()
         self._pending_draw = None
-        slot = (
-            self._lru_victim_slot()
-            if expert == _LRU
-            else self._lfu_victim_slot()
+        block = (
+            self._lru_victim() if expert == _LRU else self._lfu_victim()
         )
-        freq = self._freq[slot]
-        self._recency.remove(slot)
-        block = self._release(slot)
-        self._remember(expert, block, freq)
+        del self._recency[block]
+        self._remember(expert, block, self._freq.pop(block))
         return block
 
     # -- ReplacementPolicy interface ---------------------------------------
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        freq = self._freq
+        count = freq.get(block)
+        if count is None:
             self._require_resident(block)
             return  # pragma: no cover - _require_resident raised
         self._clock += 1
-        self._freq[slot] += 1
-        self._recency.move_to_front(slot)
+        freq[block] = count + 1
+        self._recency.move_to_end(block)
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
@@ -212,47 +179,36 @@ class LeCaRPolicy(ReplacementPolicy):
         # evicted it and resumes its remembered frequency.
         restored = self._learn_from(block)
         evicted: List[Block] = []
-        if len(self._slots) >= self.capacity:
+        if len(self._freq) >= self.capacity:
             evicted.append(self._evict_one())
-        slot = self._alloc(block)
-        self._freq[slot] = restored + 1
-        self._recency.push_front(slot)
+        self._freq[block] = restored + 1
+        self._recency[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        slot = self._slots[block]
-        self._recency.remove(slot)
-        self._release(slot)
+        del self._recency[block]
+        del self._freq[block]
 
     def victim(self) -> Optional[Block]:
         """Stable pure peek: the cached draw used here is the one the
         next eviction will consume."""
-        if not self.full or not self._slots:
+        if not self.full or not self._freq:
             return None
-        expert = self._choose_expert()
-        slot = (
-            self._lru_victim_slot()
-            if expert == _LRU
-            else self._lfu_victim_slot()
-        )
-        return self._block_at[slot]
+        if self._choose_expert() == _LRU:
+            return self._lru_victim()
+        return self._lfu_victim()
 
     def resident(self) -> Iterator[Block]:
         """Iterate blocks from most to least recently used."""
-        block_at = self._block_at
-        for slot in self._recency:
-            block = block_at[slot]
-            if block is not None:
-                yield block
+        return reversed(self._recency)
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        self._recency.check_invariants()
-        if self._recency.size != len(self._slots):
+        if len(self._recency) != len(self._freq):
             raise ProtocolError(
-                f"lecar: recency size {self._recency.size} != "
-                f"{len(self._slots)} indexed blocks"
+                f"lecar: recency holds {len(self._recency)} blocks, "
+                f"{len(self._freq)} have frequencies"
             )
         weight_sum = self._weights[_LRU] + self._weights[_LFU]
         if not math.isclose(weight_sum, 1.0, rel_tol=1e-9):
@@ -269,21 +225,21 @@ class LeCaRPolicy(ReplacementPolicy):
                     f"entries, bound {self.history_capacity}"
                 )
             for block in history:
-                if block in self._slots:
+                if block in self._freq:
                     raise ProtocolError(
                         f"lecar: block {block!r} both resident and in "
                         f"history {expert}"
                     )
-        for block, slot in self._slots.items():
-            if self._block_at[slot] != block:
+        for block, count in self._freq.items():
+            if block not in self._recency:
                 raise ProtocolError(
-                    f"lecar: slot {slot} holds {self._block_at[slot]!r}, "
-                    f"index says {block!r}"
+                    f"lecar: block {block!r} has a frequency but no "
+                    f"recency position"
                 )
-            if self._freq[slot] < 1:
+            if count < 1:
                 raise ProtocolError(
                     f"lecar: resident block {block!r} has frequency "
-                    f"{self._freq[slot]} < 1"
+                    f"{count} < 1"
                 )
 
     # -- introspection -----------------------------------------------------

@@ -16,6 +16,10 @@ evicted block identities:
   its identity and reference count are remembered in Qout (FIFO), so a
   quick re-reference can re-enter a high queue.
 
+Each queue Qk is an ``OrderedDict`` of block -> entry whose first key
+is the LRU end, so a move, a demotion and an eviction are each one call
+into the dict; Qout is an ``OrderedDict`` of block -> frequency.
+
 This is the comparison scheme used in Figure 7 of the ULC paper (LRU at
 the client, MQ at the server).
 """
@@ -27,19 +31,17 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import SENTINEL, IntLinkedList, IntSlab
 from repro.util.validation import check_int, check_non_negative, check_positive
 
 
 class _MQEntry:
-    __slots__ = ("block", "frequency", "expire_time", "queue_index", "slot")
+    __slots__ = ("block", "frequency", "expire_time", "queue_index")
 
     def __init__(self, block: Block, frequency: int) -> None:
         self.block = block
         self.frequency = frequency
         self.expire_time = 0
         self.queue_index = 0
-        self.slot = -1
 
 
 class MQPolicy(ReplacementPolicy):
@@ -70,19 +72,18 @@ class MQPolicy(ReplacementPolicy):
         check_positive("num_queues", num_queues)
         self.num_queues = num_queues
         self.life_time = life_time if life_time is not None else 4 * capacity
+        check_int("life_time", self.life_time)
         check_positive("life_time", self.life_time)
         self.ghost_capacity = (
             ghost_capacity if ghost_capacity is not None else 4 * capacity
         )
+        check_int("ghost_capacity", self.ghost_capacity)
         check_non_negative("ghost_capacity", self.ghost_capacity)
-        # All queues share one slab: a resident block owns one slot and
-        # queue demotion is a pure relink of that slot.
-        self._slab = IntSlab()
-        self._queues: List[IntLinkedList] = [
-            IntLinkedList(self._slab) for _ in range(num_queues)
+        # Qk: block -> entry, first key = LRU end, last key = MRU end.
+        self._queues: "List[OrderedDict[Block, _MQEntry]]" = [
+            OrderedDict() for _ in range(num_queues)
         ]
         self._entries: Dict[Block, _MQEntry] = {}
-        self._entry_at: List[Optional[_MQEntry]] = [None]
         # Qout: block -> frequency at eviction, FIFO order preserved.
         self._ghost: "OrderedDict[Block, int]" = OrderedDict()
         self._time = 0
@@ -96,22 +97,11 @@ class MQPolicy(ReplacementPolicy):
     def _enqueue(self, entry: _MQEntry) -> None:
         entry.queue_index = self._queue_for(entry.frequency)
         entry.expire_time = self._time + self.life_time
-        if entry.slot < 0:
-            slot = self._slab.alloc()
-            if slot == len(self._entry_at):
-                self._entry_at.append(entry)
-            else:
-                self._entry_at[slot] = entry
-            entry.slot = slot
-        self._queues[entry.queue_index].push_front(entry.slot)
-        self._entries[entry.block] = entry
+        self._queues[entry.queue_index][entry.block] = entry
 
     def _dequeue(self, block: Block) -> _MQEntry:
         entry = self._entries.pop(block)
-        self._queues[entry.queue_index].remove(entry.slot)
-        self._entry_at[entry.slot] = None
-        self._slab.free(entry.slot)
-        entry.slot = -1
+        del self._queues[entry.queue_index][block]
         return entry
 
     # repro: bound O(1) amortized -- Zhou's Adjust(): each demotion
@@ -120,21 +110,18 @@ class MQPolicy(ReplacementPolicy):
     def _adjust(self) -> None:
         """Demote expired LRU blocks one queue down (Zhou's Adjust())."""
         time = self._time
-        entry_at = self._entry_at
+        queues = self._queues
         for index in range(1, self.num_queues):
-            queue = self._queues[index]
-            lower = self._queues[index - 1]
-            while queue.size:
-                tail = queue.prev[SENTINEL]
-                entry = entry_at[tail]
-                if entry is None:
-                    raise ProtocolError("non-empty MQ queue has no tail")
+            queue = queues[index]
+            lower = queues[index - 1]
+            while queue:
+                entry = queue[next(iter(queue))]
                 if entry.expire_time >= time:
                     break
-                queue.remove(tail)
+                queue.popitem(last=False)
                 entry.queue_index = index - 1
                 entry.expire_time = time + self.life_time
-                lower.push_front(tail)
+                lower[entry.block] = entry
 
     # repro: bound O(1) amortized -- the ghost trim pops at most the
     # entries earlier calls pushed
@@ -158,7 +145,8 @@ class MQPolicy(ReplacementPolicy):
     def touch(self, block: Block) -> None:
         self._require_resident(block)
         self._time += 1
-        entry = self._dequeue(block)
+        entry = self._entries[block]
+        del self._queues[entry.queue_index][block]
         entry.frequency += 1
         self._enqueue(entry)
         self._adjust()
@@ -176,6 +164,7 @@ class MQPolicy(ReplacementPolicy):
             evicted.append(victim)
         remembered = self._ghost.pop(block, 0)
         entry = _MQEntry(block, remembered + 1)
+        self._entries[block] = entry
         self._enqueue(entry)
         self._adjust()
         return evicted
@@ -188,18 +177,13 @@ class MQPolicy(ReplacementPolicy):
         if not self.full or not self._entries:
             return None
         for queue in self._queues:
-            if queue.size:
-                entry = self._entry_at[queue.prev[SENTINEL]]
-                return None if entry is None else entry.block
+            if queue:
+                return next(iter(queue))
         return None  # pragma: no cover - unreachable
 
     def resident(self) -> Iterator[Block]:
-        entry_at = self._entry_at
         for queue in self._queues:
-            for slot in queue:
-                entry = entry_at[slot]
-                if entry is not None:
-                    yield entry.block
+            yield from reversed(queue)
 
     # -- introspection for tests ---------------------------------------------
 

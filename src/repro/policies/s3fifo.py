@@ -14,10 +14,10 @@ Hits only bump a per-block frequency counter capped at
   never pays a hit-path splice;
 - a miss on a ghost-listed block goes straight into main.
 
-Both resident queues are slab lists over one shared
-:class:`~repro.util.intlist.IntSlab`; the frequency counters live in a
-flat slot-indexed array, so the hit path is one dict lookup and one
-array write.
+Both resident queues are ``OrderedDict`` s whose first key is the FIFO
+tail; the frequency counters live in one block-keyed dict that doubles
+as the residency index, so the hit path is one dict lookup and one dict
+write.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import IntLinkedList, IntSlab
-from repro.util.validation import check_fraction
+from repro.util.validation import check_finite, check_fraction, check_positive
 
 #: Frequency counters saturate here (2 bits in the paper).
 _FREQ_MAX = 3
@@ -55,46 +54,22 @@ class S3FIFOPolicy(ReplacementPolicy):
     ) -> None:
         super().__init__(capacity)
         check_fraction("small_fraction", small_fraction)
-        if ghost_factor <= 0:
-            raise ProtocolError(
-                f"ghost_factor must be positive, got {ghost_factor}"
-            )
+        check_positive("ghost_factor", ghost_factor)
+        check_finite("ghost_factor", ghost_factor)
         self.small_target = max(1, int(capacity * small_fraction))
         self.ghost_capacity = max(1, int(capacity * ghost_factor))
-        self._slab = IntSlab()
-        self._small = IntLinkedList(self._slab)
-        self._main = IntLinkedList(self._slab)
-        self._slots: Dict[Block, int] = {}
-        self._block_at: List[Optional[Block]] = [None]
-        self._freq: List[int] = [0]
+        # Resident queues: first key = tail (next to leave), last = head.
+        self._small: "OrderedDict[Block, None]" = OrderedDict()
+        self._main: "OrderedDict[Block, None]" = OrderedDict()
+        # block -> frequency counter, for every resident block.
+        self._freq: Dict[Block, int] = {}
         self._ghost: "OrderedDict[Block, None]" = OrderedDict()
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._slots
+        return block in self._freq
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    # -- slab bookkeeping --------------------------------------------------
-
-    def _alloc(self, block: Block) -> int:
-        slot = self._slab.alloc()
-        if slot == len(self._block_at):
-            self._block_at.append(block)
-            self._freq.append(0)
-        else:
-            self._block_at[slot] = block
-            self._freq[slot] = 0
-        self._slots[block] = slot
-        return slot
-
-    def _release(self, slot: int) -> Block:
-        block = self._block_at[slot]
-        self._block_at[slot] = None
-        self._freq[slot] = 0
-        self._slab.free(slot)
-        del self._slots[block]
-        return block
+        return len(self._freq)
 
     # repro: bound O(1) amortized -- the ghost trim pops at most the
     # entries earlier calls pushed
@@ -121,125 +96,119 @@ class S3FIFOPolicy(ReplacementPolicy):
         """
         small, main, freq = self._small, self._main, self._freq
         while True:
-            if small and (small.size >= self.small_target or not main):
-                slot = small.pop_back()
-                if freq[slot] > 0:
-                    freq[slot] = 0
-                    main.push_front(slot)
+            if small and (len(small) >= self.small_target or not main):
+                block = small.popitem(last=False)[0]
+                if freq[block] > 0:
+                    freq[block] = 0
+                    main[block] = None
                     continue
-                block = self._block_at[slot]
+                del freq[block]
                 self._ghost_remember(block)
-                self._release(slot)
                 return block
             if not main:  # pragma: no cover - defensive
                 raise ProtocolError("s3fifo: eviction with empty queues")
-            slot = main.pop_back()
-            if freq[slot] > 0:
-                freq[slot] -= 1
-                main.push_front(slot)
+            block = main.popitem(last=False)[0]
+            if freq[block] > 0:
+                freq[block] -= 1
+                main[block] = None
                 continue
-            return self._release(slot)
+            del freq[block]
+            return block
 
     # -- ReplacementPolicy interface ---------------------------------------
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        freq = self._freq
+        count = freq.get(block)
+        if count is None:
             self._require_resident(block)
             return  # pragma: no cover - _require_resident raised
-        freq = self._freq
-        if freq[slot] < _FREQ_MAX:
-            freq[slot] += 1
+        if count < _FREQ_MAX:
+            freq[block] = count + 1
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
         evicted: List[Block] = []
-        if len(self._slots) >= self.capacity:
+        if len(self._freq) >= self.capacity:
             evicted.append(self._evict_one())
+        self._freq[block] = 0
         if block in self._ghost:
             del self._ghost[block]
-            self._main.push_front(self._alloc(block))
+            self._main[block] = None
         else:
-            self._small.push_front(self._alloc(block))
+            self._small[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        slot = self._slots[block]
-        if self._small.linked(slot):
-            self._small.remove(slot)
+        del self._freq[block]
+        if block in self._small:
+            del self._small[block]
         else:
-            self._main.remove(slot)
-        self._release(slot)
+            del self._main[block]
 
     # repro: bound O(n) -- pure prediction: replays the eviction scan
     # on queue snapshots without mutating frequencies
     def victim(self) -> Optional[Block]:
         """Pure replay of :meth:`_evict_one` on snapshots."""
-        if not self.full or not self._slots:
+        if not self.full or not self._freq:
             return None
         freq = self._freq
-        small = self._small.to_list()  # head .. tail
-        main = self._main.to_list()
-        main_extra: List[int] = []  # reinserted at the main head
+        small = list(reversed(self._small))  # head .. tail
+        main = list(reversed(self._main))
+        main_extra: List[Block] = []  # reinserted at the main head
         small_size = len(small)
-        spent: Dict[int, int] = {}
+        spent: Dict[Block, int] = {}
         moved: set = set()
         while True:
             if small and (small_size >= self.small_target or not (main or main_extra)):
-                slot = small.pop()  # tail
+                block = small.pop()  # tail
                 small_size -= 1
-                if freq[slot] > 0:
-                    moved.add(slot)
-                    main_extra.append(slot)
+                if freq[block] > 0:
+                    moved.add(block)
+                    main_extra.append(block)
                     continue
-                return self._block_at[slot]
+                return block
             if main:
-                slot = main.pop()
+                block = main.pop()
             elif main_extra:
-                slot = main_extra.pop(0)
+                block = main_extra.pop(0)
             else:  # pragma: no cover - defensive
                 raise ProtocolError("s3fifo: victim scan with empty queues")
-            effective = (0 if slot in moved else freq[slot]) - spent.get(slot, 0)
+            effective = (0 if block in moved else freq[block]) - spent.get(block, 0)
             if effective > 0:
-                spent[slot] = spent.get(slot, 0) + 1
-                main_extra.append(slot)
+                spent[block] = spent.get(block, 0) + 1
+                main_extra.append(block)
                 continue
-            return self._block_at[slot]
+            return block
 
     def resident(self) -> Iterator[Block]:
         """Iterate small queue (newest first), then main queue."""
-        block_at = self._block_at
-        for lst in (self._small, self._main):
-            for slot in lst:
-                block = block_at[slot]
-                if block is not None:
-                    yield block
+        yield from reversed(self._small)
+        yield from reversed(self._main)
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        self._small.check_invariants()
-        self._main.check_invariants()
-        if self._small.size + self._main.size != len(self._slots):
+        small, main = self._small, self._main
+        if len(small) + len(main) != len(self._freq):
             raise ProtocolError(
-                f"s3fifo: queues hold {self._small.size + self._main.size} "
-                f"slots, index tracks {len(self._slots)}"
+                f"s3fifo: queues hold {len(small) + len(main)} "
+                f"blocks, index tracks {len(self._freq)}"
             )
         if len(self._ghost) > self.ghost_capacity:
             raise ProtocolError(
                 f"s3fifo: {len(self._ghost)} ghosts exceed "
                 f"{self.ghost_capacity}"
             )
-        for block, slot in self._slots.items():
-            if self._block_at[slot] != block:
+        for block, count in self._freq.items():
+            if (block in small) == (block in main):
                 raise ProtocolError(
-                    f"s3fifo: slot {slot} holds {self._block_at[slot]!r}, "
-                    f"index says {block!r}"
+                    f"s3fifo: block {block!r} is not in exactly one queue"
                 )
-            if not 0 <= self._freq[slot] <= _FREQ_MAX:
+            if not 0 <= count <= _FREQ_MAX:
                 raise ProtocolError(
                     f"s3fifo: block {block!r} has frequency "
-                    f"{self._freq[slot]} outside [0, {_FREQ_MAX}]"
+                    f"{count} outside [0, {_FREQ_MAX}]"
                 )
             if block in self._ghost:
                 raise ProtocolError(

@@ -3,8 +3,8 @@
 This is the array kernel under the structures that splice at arbitrary
 positions: the uniLRUstack's global and per-level lists, the server
 gLRU's ``insert_before`` / ``insert_after`` for DemotionSearching, and
-SIEVE's hand (plus MQ, S3-FIFO, W-TinyLFU and LeCaR). Queues that only
-push, pop, move to an end or delete by key use ``OrderedDict`` instead.
+SIEVE's hand. Queues that only push, pop, move to an end or delete by
+key use ``OrderedDict`` instead.
 Elements are integer *slots* handed out by an :class:`IntSlab`, and each
 :class:`IntLinkedList` stores its links in two plain Python lists
 (``prev`` / ``next``) indexed by slot.
@@ -67,11 +67,6 @@ class IntSlab:
         self._lists: List["IntLinkedList"] = []
         #: Number of currently allocated slots.
         self.in_use = 0
-
-    @property
-    def capacity(self) -> int:
-        """Total slot space (allocated + free + sentinel)."""
-        return self._capacity
 
     def attach(self, lst: "IntLinkedList") -> None:
         """Register a list so its link arrays grow with the slab."""
@@ -191,17 +186,9 @@ class IntLinkedList:
     def __len__(self) -> int:
         return self.size
 
-    def __bool__(self) -> bool:
-        return self.size > 0
-
     def linked(self, slot: int) -> bool:
         """Whether ``slot`` is currently part of this list."""
         return self.prev[slot] != UNLINKED
-
-    @property
-    def head(self) -> Optional[int]:
-        """First (MRU) slot, or ``None`` if the list is empty."""
-        return self.next[SENTINEL] if self.size else None
 
     @property
     def tail(self) -> Optional[int]:
@@ -236,12 +223,6 @@ class IntLinkedList:
         self._check_owned(slot)
         p = self.prev[slot]
         return None if p == SENTINEL else p
-
-    def next_towards_tail(self, slot: int) -> Optional[int]:
-        """Slot immediately closer to the tail, or ``None`` at the tail."""
-        self._check_owned(slot)
-        n = self.next[slot]
-        return None if n == SENTINEL else n
 
     # -- mutations ---------------------------------------------------------
 
@@ -304,60 +285,11 @@ class IntLinkedList:
         self.size -= 1
         return slot
 
-    def move_to_front(self, slot: int) -> int:
-        """Move a linked slot to the head in O(1)."""
-        self._check_owned(slot)
-        prv, nxt = self.prev, self.next
-        if nxt[SENTINEL] == slot:
-            return slot
-        p, n = prv[slot], nxt[slot]
-        nxt[p] = n
-        prv[n] = p
-        first = nxt[SENTINEL]
-        prv[slot] = SENTINEL
-        nxt[slot] = first
-        prv[first] = slot
-        nxt[SENTINEL] = slot
-        return slot
-
-    def move_to_back(self, slot: int) -> int:
-        """Move a linked slot to the tail in O(1)."""
-        self._check_owned(slot)
-        prv, nxt = self.prev, self.next
-        if prv[SENTINEL] == slot:
-            return slot
-        p, n = prv[slot], nxt[slot]
-        nxt[p] = n
-        prv[n] = p
-        last = prv[SENTINEL]
-        nxt[slot] = SENTINEL
-        prv[slot] = last
-        nxt[last] = slot
-        prv[SENTINEL] = slot
-        return slot
-
-    def pop_front(self) -> int:
-        """Remove and return the head slot."""
-        if self.size == 0:
-            raise ProtocolError("pop_front on empty list")
-        return self.remove(self.next[SENTINEL])
-
     def pop_back(self) -> int:
         """Remove and return the tail slot."""
         if self.size == 0:
             raise ProtocolError("pop_back on empty list")
         return self.remove(self.prev[SENTINEL])
-
-    def clear(self) -> None:
-        """Unlink every slot."""
-        while self.size:
-            self.pop_front()
-
-    # repro: bound O(n) -- diagnostic snapshot of the whole chain
-    # (tests and pure victim replays)
-    def to_list(self) -> List[int]:
-        """Snapshot of the linked slots, head to tail (tests)."""
-        return list(self)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -3,9 +3,11 @@
 ``tests/data/golden_policy_streams.json`` was produced by executing
 :func:`collect_policy_streams` unchanged against the node-list / slab
 implementations of the LRU family, ARC, 2Q, LFU and LIRS, before they
-moved onto ``OrderedDict`` queues. ``tests/core/test_policy_streams.py``
-re-runs the same collection against the current policies and requires
-identical digests.
+moved onto ``OrderedDict`` queues; the MQ, S3-FIFO, W-TinyLFU and LeCaR
+streams were added the same way, recorded against their slab
+implementations before those moved too.
+``tests/core/test_policy_streams.py`` re-runs the same collection
+against the current policies and requires identical digests.
 
 Each stream records ``(access(block), victim())`` at every step of a
 :data:`tests.core.golden_core.TRACES` trace; every
@@ -26,7 +28,20 @@ from typing import Dict, List
 from tests.core.golden_core import _traces, stream_digest
 
 #: Policies pinned by the fixture (registry names).
-POLICIES = ("lru", "mru", "fifo", "clock", "arc", "2q", "lfu", "lirs")
+POLICIES = (
+    "lru",
+    "mru",
+    "fifo",
+    "clock",
+    "arc",
+    "2q",
+    "lfu",
+    "lirs",
+    "mq",
+    "s3fifo",
+    "wtinylfu",
+    "lecar",
+)
 
 #: Cache sizes: a tiny one (every step evicts) and a mid-size one.
 CAPACITIES = (3, 128)

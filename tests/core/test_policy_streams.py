@@ -1,10 +1,11 @@
 """Golden equivalence for the single-level policies off the shared slab.
 
 ``tests/data/golden_policy_streams.json`` pins the ``(access, victim)``
-stream of LRU, MRU, FIFO, CLOCK, ARC, 2Q, LFU and LIRS at two cache
-sizes on the two golden traces, with periodic ``remove()`` calls and a
-final invariant check, plus ``LRUPolicy``'s ``recency_order`` /
-``insert_at_lru_end`` extras (see :mod:`tests.core.golden_policies`).
+stream of LRU, MRU, FIFO, CLOCK, ARC, 2Q, LFU, LIRS, MQ, S3-FIFO,
+W-TinyLFU and LeCaR at two cache sizes on the two golden traces, with
+periodic ``remove()`` calls and a final invariant check, plus
+``LRUPolicy``'s ``recency_order`` / ``insert_at_lru_end`` extras (see
+:mod:`tests.core.golden_policies`).
 A changed tie-break or eviction order in any of their queues shows up as
 a digest mismatch here.
 """

@@ -5,7 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.policies import LIRSPolicy, MQPolicy, OPTPolicy, TwoQPolicy
+from repro.policies import (
+    LeCaRPolicy,
+    LIRSPolicy,
+    MQPolicy,
+    OPTPolicy,
+    S3FIFOPolicy,
+    TwoQPolicy,
+    WTinyLFUPolicy,
+)
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestMQParameters:
@@ -46,6 +57,72 @@ class TestMQParameters:
         for _ in range(40):
             policy.access("hot")
         assert policy.queue_of("hot") == 1  # clamped to m-1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ghost_capacity": 2.5},
+            {"ghost_capacity": True},
+            {"life_time": True},
+            {"life_time": 2.5},
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            MQPolicy(8, **kwargs)
+
+
+class TestS3FIFOParameters:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ghost_factor": NAN},
+            {"ghost_factor": INF},
+            {"ghost_factor": 0.0},
+            {"ghost_factor": -1.0},
+            {"small_fraction": NAN},
+            {"small_fraction": 1.5},
+        ],
+    )
+    def test_invalid_parameters(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            S3FIFOPolicy(8, **kwargs)
+
+
+class TestWTinyLFUParameters:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window_fraction": NAN},
+            {"window_fraction": -0.1},
+            {"protected_fraction": NAN},
+            {"protected_fraction": 1.5},
+        ],
+    )
+    def test_invalid_parameters(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            WTinyLFUPolicy(8, **kwargs)
+
+
+class TestLeCaRParameters:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": NAN},
+            {"learning_rate": INF},
+            {"learning_rate": 0.0},
+            {"history_factor": NAN},
+            {"history_factor": INF},
+            {"history_factor": -1.0},
+            {"history_factor": 0.0},
+            {"discount_base": NAN},
+            {"discount_base": 0.0},
+            {"discount_base": 1.0},
+        ],
+    )
+    def test_invalid_parameters(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            LeCaRPolicy(8, **kwargs)
 
 
 class TestTwoQParameters:

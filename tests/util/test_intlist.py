@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList, IntSlab
+from repro.util.intlist import SENTINEL, IntLinkedList, IntSlab
 
 OPS = (
     "alloc",
@@ -26,9 +26,6 @@ OPS = (
     "insert_before",
     "insert_after",
     "remove",
-    "move_to_front",
-    "move_to_back",
-    "pop_front",
     "pop_back",
 )
 
@@ -64,10 +61,11 @@ class Lockstep:
 
     def assert_equal(self) -> None:
         for lst, mirror in zip(self.real, self.mirror):
-            assert lst.to_list() == mirror
+            assert list(lst) == mirror
             assert len(lst) == len(mirror)
             assert bool(lst) == bool(mirror)
-            assert lst.head == (mirror[0] if mirror else None)
+            assert lst.next[SENTINEL] == (mirror[0] if mirror else SENTINEL)
+            assert lst.prev[SENTINEL] == (mirror[-1] if mirror else SENTINEL)
             assert lst.tail == (mirror[-1] if mirror else None)
             for slot in self.allocated:
                 assert lst.linked(slot) == (slot in mirror)
@@ -123,24 +121,19 @@ class Lockstep:
             getattr(lst, name)(slot, anchor)
             index = mirror.index(anchor)
             mirror.insert(index if name == "insert_before" else index + 1, slot)
-        elif name in ("remove", "move_to_front", "move_to_back"):
+        elif name == "remove":
             if slot not in mirror:
                 with pytest.raises(ProtocolError):
-                    getattr(lst, name)(slot)
+                    lst.remove(slot)
                 return
-            getattr(lst, name)(slot)
+            lst.remove(slot)
             mirror.remove(slot)
-            if name == "move_to_front":
-                mirror.insert(0, slot)
-            elif name == "move_to_back":
-                mirror.append(slot)
-        elif name in ("pop_front", "pop_back"):
+        elif name == "pop_back":
             if not mirror:
                 with pytest.raises(ProtocolError):
-                    getattr(lst, name)()
+                    lst.pop_back()
                 return
-            popped = getattr(lst, name)()
-            assert popped == mirror.pop(0 if name == "pop_front" else -1)
+            assert lst.pop_back() == mirror.pop()
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,13 +150,13 @@ def test_neighbour_queries_match():
     for slot in slots[:4]:
         state.step("push_back", slots.index(slot), 0)
     lst, mirror = state.real[0], state.mirror[0]
-    assert lst.to_list() == mirror == slots[:4]
+    assert list(lst) == mirror == slots[:4]
     for index, slot in enumerate(mirror):
         assert lst.next_towards_head(slot) == (
             mirror[index - 1] if index > 0 else None
         )
-        assert lst.next_towards_tail(slot) == (
-            mirror[index + 1] if index + 1 < len(mirror) else None
+        assert lst.next[slot] == (
+            mirror[index + 1] if index + 1 < len(mirror) else SENTINEL
         )
 
 
@@ -190,11 +183,11 @@ def test_shared_slab_lists_are_independent():
     for slot in slots:
         first.push_back(slot)
         second.push_front(slot)
-    assert first.to_list() == slots
-    assert second.to_list() == slots[::-1]
-    first.move_to_front(slots[2])
-    assert first.to_list() == [slots[2], slots[0], slots[1], slots[3]]
-    assert second.to_list() == slots[::-1]
+    assert list(first) == slots
+    assert list(second) == slots[::-1]
+    first.push_front(first.remove(slots[2]))
+    assert list(first) == [slots[2], slots[0], slots[1], slots[3]]
+    assert list(second) == slots[::-1]
     second.remove(slots[0])
     first.check_invariants()
     second.check_invariants()
@@ -202,17 +195,6 @@ def test_shared_slab_lists_are_independent():
         slab.free(slots[0])  # still linked in `first`
     first.remove(slots[0])
     slab.free(slots[0])
-
-
-def test_clear_unlinks_everything():
-    slab = IntSlab()
-    lst = IntLinkedList(slab)
-    slots = [lst.push_back(slab.alloc()) for _ in range(10)]
-    lst.clear()
-    assert len(lst) == 0
-    assert all(not lst.linked(slot) for slot in slots)
-    assert all(lst.prev[slot] == UNLINKED for slot in slots)
-    lst.check_invariants()
 
 
 def test_iteration_tolerates_removing_current():
@@ -242,5 +224,5 @@ def test_insert_before_and_after_splice_at_anchor():
     lst.push_back(b)
     lst.insert_before(c, b)
     lst.insert_after(d, b)
-    assert lst.to_list() == [a, c, b, d]
+    assert list(lst) == [a, c, b, d]
     lst.check_invariants()
