@@ -6,7 +6,8 @@
 PYTHON ?= python
 
 .PHONY: check check-shallow check-deep check-kernel check-bounds lint \
-	test perfbench-test bench mrc-approx baseline hash-schema
+	test perfbench-test bench-files-test bench mrc-approx baseline \
+	hash-schema
 
 check: lint check-shallow check-deep check-kernel check-bounds
 
@@ -34,6 +35,13 @@ test:
 # committed cell digest in perfbench/digests.json (~3 min on 2 cores).
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
+
+# Every benchmarks/bench_* file once at tiny scale with timing disabled
+# (also run by CI's bench-files job): catches bench files broken by an
+# API change.
+bench-files-test:
+	ULC_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/ -q \
+		--benchmark-disable
 
 bench:
 	$(PYTHON) -m repro bench --smoke --threshold 0.30 \

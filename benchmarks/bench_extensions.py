@@ -15,7 +15,7 @@ from repro.experiments import resolve_scale
 from repro.experiments.figure7 import BASELINE_REFS, EXTRA_GEOMETRY
 from repro.hierarchy import CooperativeScheme, IndependentScheme, cooperative_costs
 from repro.policies import OPTPolicy, make_policy
-from repro.sim import paper_two_level, run_simulation
+from repro.sim import Engine, paper_two_level
 from repro.util.tables import format_table
 from repro.workloads import make_large_workload, openmail_like
 
@@ -34,14 +34,14 @@ def bench_cooperative_caching(benchmark, scale):
     def run_all():
         rows = []
         base = IndependentScheme([client_blocks, server_blocks], clients)
-        result = run_simulation(base, trace, paper_two_level())
+        result = Engine(base, paper_two_level()).drive(trace)
         rows.append(["indLRU (no cooperation)", result.total_hit_rate,
                      0.0, result.t_ave_ms])
         for label, n_chance in [("greedy forwarding", 0), ("2-chance", 2)]:
             scheme = CooperativeScheme(
                 [client_blocks, server_blocks], clients, n_chance=n_chance
             )
-            result = run_simulation(scheme, trace, cooperative_costs())
+            result = Engine(scheme, cooperative_costs()).drive(trace)
             rows.append(
                 [label, result.total_hit_rate,
                  result.level_hit_rates[2], result.t_ave_ms]
@@ -94,7 +94,7 @@ def bench_three_level_multi_client(benchmark, scale):
                 [client_blocks, server_blocks, array_blocks], clients
             ),
         ):
-            result = run_simulation(scheme, trace, costs)
+            result = Engine(scheme, costs).drive(trace)
             rows.append(
                 [
                     result.scheme,

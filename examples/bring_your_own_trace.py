@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import paper_three_level, run_simulation
+from repro import Engine, paper_three_level
 from repro.hierarchy import IndependentScheme, ULCScheme, UnifiedLRUScheme
 from repro.util.tables import format_table
 from repro.workloads import classify_pattern, describe, load_text
@@ -67,7 +67,7 @@ def main() -> None:
         UnifiedLRUScheme([capacity] * 3),
         ULCScheme([capacity] * 3),
     ):
-        result = run_simulation(scheme, trace, costs)
+        result = Engine(scheme, costs).drive(trace)
         rows.append(
             [
                 result.scheme,

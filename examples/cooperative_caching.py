@@ -18,7 +18,7 @@ from repro.hierarchy import (
     IndependentScheme,
     cooperative_costs,
 )
-from repro.sim import paper_two_level, run_simulation
+from repro.sim import Engine, paper_two_level
 from repro.util.tables import format_table
 from repro.workloads import openmail_like
 
@@ -30,7 +30,7 @@ def main() -> None:
     rows = []
     for server_blocks in (128, 512):
         base = IndependentScheme([client_blocks, server_blocks], clients)
-        result = run_simulation(base, trace, paper_two_level())
+        result = Engine(base, paper_two_level()).drive(trace)
         rows.append(
             [server_blocks, "indLRU (no cooperation)",
              result.total_hit_rate, 0.0, result.t_ave_ms]
@@ -39,7 +39,7 @@ def main() -> None:
             scheme = CooperativeScheme(
                 [client_blocks, server_blocks], clients, n_chance=n_chance
             )
-            result = run_simulation(scheme, trace, cooperative_costs())
+            result = Engine(scheme, cooperative_costs()).drive(trace)
             rows.append(
                 [server_blocks, label, result.total_hit_rate,
                  result.level_hit_rates[2], result.t_ave_ms]
@@ -75,7 +75,7 @@ def idle_peer_scenario() -> None:
     rows = []
     for label, n_chance in [("greedy forwarding", 0), ("2-chance", 2)]:
         scheme = CooperativeScheme([512, 256], num_clients=6, n_chance=n_chance)
-        result = run_simulation(scheme, trace, cooperative_costs())
+        result = Engine(scheme, cooperative_costs()).drive(trace)
         rows.append(
             [label, result.total_hit_rate, result.level_hit_rates[2],
              result.t_ave_ms]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro import paper_two_level, run_simulation, zipf_trace
+from repro import Engine, paper_two_level, zipf_trace
 from repro.hierarchy import IndependentScheme
 from repro.policies import LRUPolicy, ReplacementPolicy, register_policy
 from repro.policies.base import Block
@@ -91,7 +91,7 @@ def main() -> None:
             policies=["lru", server_policy],
             policy_kwargs=[{}, kwargs],
         )
-        result = run_simulation(scheme, trace, costs)
+        result = Engine(scheme, costs).drive(trace)
         rows.append(
             [
                 f"LRU client + {server_policy.upper()} server",

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import ULCScheme, paper_three_level, run_simulation, zipf_trace
+from repro import Engine, ULCScheme, paper_three_level, zipf_trace
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
     scheme = ULCScheme(capacities=[800, 800, 800])
     costs = paper_three_level()
 
-    result = run_simulation(scheme, trace, costs)
+    result = Engine(scheme, costs).drive(trace)
 
     print(f"workload        : {result.workload} ({result.references} refs measured)")
     print(f"scheme          : {result.scheme} {result.capacities}")

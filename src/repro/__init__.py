@@ -65,7 +65,6 @@ from repro.sim import (
     RunResult,
     paper_three_level,
     paper_two_level,
-    run_simulation,
 )
 from repro.workloads import (
     Trace,
@@ -101,7 +100,6 @@ __all__ = [
     "paper_three_level",
     "paper_two_level",
     "Engine",
-    "run_simulation",
     "RunResult",
     "RunSpec",
     "WorkloadSpec",

@@ -13,7 +13,7 @@ order-statistic substrate, and derives from it:
 
 - :func:`mrc_for_trace` — the full hit-rate-vs-capacity curve of one
   LRU cache over a trace, warm-up handled exactly as
-  :func:`repro.sim.engine.run_simulation` handles it;
+  :meth:`repro.sim.engine.Engine.drive` handles it;
 - :func:`che_mrc` — the approximate Che/Fagin closed-form estimator
   (characteristic-time approximation) from empirical block
   popularities, used to cross-validate the exact curve on power-law
@@ -21,7 +21,7 @@ order-statistic substrate, and derives from it:
 - :func:`derive_sweep_results` — full :class:`~repro.sim.results.RunResult`
   rows for a ``sweep_server_size``-style capacity sweep of the LRU-family
   hierarchy schemes (``unilru``, ``indlru``), **bit-identical** to
-  per-capacity :func:`~repro.sim.engine.run_simulation` runs: hit
+  per-capacity :meth:`~repro.sim.engine.Engine.drive` runs: hit
   levels, demotion and eviction counts are all reconstructed from the
   stack-distance profile (see the scheme notes below).
 
@@ -242,7 +242,7 @@ def mrc_for_trace(
 
     The first ``warmup_fraction`` of references warms the conceptual
     stack but is excluded from the rates — the same split, computed the
-    same way, as :func:`repro.sim.engine.run_simulation`. With
+    same way, as :meth:`repro.sim.engine.Engine.drive`. With
     ``capacities`` omitted the curve covers every capacity from 1 to the
     trace's distinct-block count (beyond which it is flat: compulsory
     misses never disappear).
@@ -450,9 +450,9 @@ def derive_sweep_results(
 
     Returns one :class:`RunResult` per ``server_sizes`` entry,
     bit-identical (up to :data:`~repro.sim.results.TIMING_EXTRAS`) to
-    ``run_simulation(make_scheme(scheme, [client_capacity, size]),
-    trace, costs, warmup_fraction)`` — the counters are reconstructed
-    exactly and the packaging arithmetic is shared
+    ``Engine(make_scheme(scheme, [client_capacity, size]), costs,
+    warmup_fraction=warmup_fraction).drive(trace)`` — the counters are
+    reconstructed exactly and the packaging arithmetic is shared
     (:func:`repro.sim.engine.result_from_metrics`).
 
     Raises:
@@ -500,7 +500,7 @@ def derive_sweep_results(
             for size in sizes
         ]
 
-    # One throwaway instance pins the display name run_simulation reports.
+    # One throwaway instance pins the display name Engine.drive reports.
     scheme_name = make_scheme(
         scheme, [client_capacity, sizes[0]], 1, **dict(scheme_kwargs or {})
     ).name if sizes else scheme

@@ -51,8 +51,8 @@ from repro.checks.flow.callgraph import (
     build_call_graph,
 )
 from repro.checks.flow.hotpath import (
-    ALLOCATING_BUILTINS,
     _own_nodes,
+    allocation_kind,
     hot_functions,
 )
 from repro.checks.flow.project import (
@@ -884,19 +884,7 @@ class BoundsChecker:
                 continue  # accepted obligation covers the body
             func, _budget, why = self.hot[qualname]
             for node in _own_nodes(func):
-                what: Optional[str] = None
-                if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Name
-                ) and node.func.id in ALLOCATING_BUILTINS:
-                    what = f"{node.func.id}(...) allocation"
-                elif isinstance(node, ast.ListComp):
-                    what = "list comprehension"
-                elif isinstance(node, ast.SetComp):
-                    what = "set comprehension"
-                elif isinstance(node, ast.DictComp):
-                    what = "dict comprehension"
-                elif isinstance(node, ast.GeneratorExp):
-                    what = "generator expression"
+                what = allocation_kind(node)
                 if what is None:
                     continue
                 self._add(

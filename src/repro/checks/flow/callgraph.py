@@ -5,7 +5,7 @@ functions through the cheap, predictable subset of Python's dispatch
 that this codebase actually uses:
 
 - plain names (module-level functions, ``from``-imports, nested defs);
-- module-attribute calls (``engine.run_simulation(...)``) through the
+- module-attribute calls (``engine.result_from_metrics(...)``) through the
   import tables;
 - method calls on ``self`` and on names whose class is known statically
   (parameter annotations, ``v = ClassName(...)`` locals) — resolved
@@ -196,7 +196,7 @@ def _resolve_attribute(
             targets.extend(project.method_candidates(cls, method_name))
         if targets:
             return targets
-    # Module alias (``engine.run_simulation``) or from-imported module.
+    # Module alias (``engine.result_from_metrics``) or from-imported module.
     symbol = project.resolve_name(mod, root)
     if isinstance(symbol, ModuleInfo):
         dotted = f"{symbol.modname}.{'.'.join(chain[1:])}"

@@ -48,6 +48,25 @@ ALLOCATING_BUILTINS = ("list", "dict", "set", "frozenset", "sorted")
 #: Attribute chains at or past this depth inside a hot loop get flagged.
 ATTRIBUTE_CHASE_DEPTH = 3
 
+#: Comprehension node types and how findings name them.
+_COMPREHENSIONS = {
+    ast.ListComp: "list comprehension",
+    ast.SetComp: "set comprehension",
+    ast.DictComp: "dict comprehension",
+    ast.GeneratorExp: "generator expression",
+}
+
+
+def allocation_kind(node: ast.AST) -> Optional[str]:
+    """What ``node`` allocates, as a finding names it, or ``None``: an
+    :data:`ALLOCATING_BUILTINS` call or a comprehension / generator
+    expression. Shared by FLOW004 and BND003."""
+    if isinstance(node, ast.Call) and isinstance(
+        node.func, ast.Name
+    ) and node.func.id in ALLOCATING_BUILTINS:
+        return f"{node.func.id}(...) allocation"
+    return _COMPREHENSIONS.get(type(node))
+
 
 def hot_functions(
     project: Project, graph: CallGraph
@@ -139,18 +158,9 @@ def hotpath_findings(project: Project, graph: CallGraph) -> List[Finding]:
             ))
 
         for node in _own_nodes(func):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Name
-            ) and node.func.id in ALLOCATING_BUILTINS:
-                add(node, f"{node.func.id}(...) allocation")
-            elif isinstance(node, ast.ListComp):
-                add(node, "list comprehension")
-            elif isinstance(node, ast.SetComp):
-                add(node, "set comprehension")
-            elif isinstance(node, ast.DictComp):
-                add(node, "dict comprehension")
-            elif isinstance(node, ast.GeneratorExp):
-                add(node, "generator expression")
+            kind = allocation_kind(node)
+            if kind is not None:
+                add(node, kind)
             elif isinstance(node, ast.Attribute) and id(node) in in_loop:
                 chain = attribute_chain(node)
                 if len(chain) >= ATTRIBUTE_CHASE_DEPTH and not isinstance(

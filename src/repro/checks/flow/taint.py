@@ -4,8 +4,8 @@ The shallow DET/SEED rules flag nondeterminism *sources* file by file;
 this pass answers the question that actually decides whether the result
 cache is sound: **can any source's value flow into a simulation, drive
 or hash entry point?** A wall-clock read in a CLI report is fine; the
-same read inside something :func:`run_simulation` can reach is a cached
-wrong answer waiting to happen.
+same read inside something ``Engine.drive`` can reach is a cached wrong
+answer waiting to happen.
 
 Sources (each carries its reason in the finding):
 
@@ -19,9 +19,11 @@ Sources (each carries its reason in the finding):
   set (hash-seeding-dependent order).
 
 Entry points are matched by name so the pass works on the live tree and
-on synthetic test packages alike: ``run_simulation``, ``run_specs``,
-``sweep_server_size``, ``content_hash`` / ``spec_hash``, and ``access``
-/ ``evict`` methods (the per-reference scheme hot paths).
+on synthetic test packages alike: the functions ``run_simulation``
+(the drive entry of the synthetic test packages), ``run_specs``,
+``sweep_server_size`` and ``content_hash`` / ``spec_hash``, and the
+methods ``drive`` / ``collect`` (the engine's drive entry points) and
+``access`` / ``evict`` (the per-reference scheme hot paths).
 
 A finding anchors at the *source* line (that is where the fix or the
 justified ``# repro: noqa FLOW001`` belongs) and quotes one concrete
@@ -52,7 +54,7 @@ _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
 
 #: Function names treated as simulation/drive/hash entry points.
 ENTRY_FUNCTION_NAMES = {"run_simulation", "run_specs", "sweep_server_size"}
-ENTRY_METHOD_NAMES = {"access", "evict"}
+ENTRY_METHOD_NAMES = {"access", "evict", "drive", "collect"}
 ENTRY_HASH_NAMES = {"content_hash", "spec_hash"}
 
 #: Builtins whose output order mirrors their input's iteration order.

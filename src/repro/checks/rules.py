@@ -458,54 +458,6 @@ class NoUnseededRng(Rule):
                 )
 
 
-#: Deprecated engine entry points and the facade call replacing them.
-_DEPRECATED_DRIVES = {
-    "run_simulation": "Engine(scheme, costs).drive(trace)",
-    "run_with_collector": "Engine(scheme).collect(trace)",
-}
-
-#: The module defining the deprecation shims (allowed to mention them).
-_ENGINE_MODULE_PARTS = ("sim", "engine.py")
-
-
-class NoDeprecatedDriveCalls(Rule):
-    """API002 — in-tree code drives simulations through ``Engine``.
-
-    ``run_simulation``/``run_with_collector`` survive only as
-    deprecation shims for external callers; an in-tree call dodges the
-    facade that warm-up handling and cost validation hang off.
-    Import/re-export sites are fine (the shims stay public); *calls*
-    are not.
-    """
-
-    code = "API002"
-    summary = (
-        "no in-tree calls of deprecated run_simulation/run_with_collector "
-        "(use repro.sim.Engine)"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.parts[-2:] == _ENGINE_MODULE_PARTS:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            replacement = _DEPRECATED_DRIVES.get(name)
-            if replacement is not None:
-                yield self.finding(
-                    ctx, node,
-                    f"call of deprecated {name}(); use "
-                    f"repro.sim.{replacement}",
-                )
-
-
 #: All AST rules, in report order. API001 lives in
 #: :mod:`repro.checks.registry_checks` (it inspects live registries, not
 #: syntax) and is appended by the engine.
@@ -517,7 +469,6 @@ AST_RULES: Tuple[Type[Rule], ...] = (
     NoRuntimeAssert,
     NoFloatEquality,
     NoUnseededRng,
-    NoDeprecatedDriveCalls,
 )
 
 

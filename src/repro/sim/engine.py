@@ -1,6 +1,7 @@
 """The trace-driven simulation engine.
 
-Feeds a :class:`~repro.workloads.base.Trace` through a
+Feeds a :class:`~repro.workloads.base.Trace` (or any
+:class:`~repro.workloads.io.StreamingTrace`) through a
 :class:`~repro.hierarchy.base.MultiLevelScheme`, warming the hierarchy on
 a leading fraction of the trace (the paper uses the first tenth) and
 collecting metrics over the remainder.
@@ -9,20 +10,15 @@ collecting metrics over the remainder.
 (and a cost model for packaged results) and call :meth:`Engine.drive`
 for a :class:`~repro.sim.results.RunResult` or :meth:`Engine.collect`
 for the raw :class:`~repro.sim.metrics.MetricsCollector`. Every drive
-— materialised or streamed — runs one per-reference loop
+— in-memory or streamed from disk — runs one chunked loop
+(:func:`_drive`) over one per-reference span loop
 (:func:`_span_scalar`): one ``scheme.access`` call and, past warm-up,
 one ``metrics.record`` per reference, so warm-up handling and iteration
-order cannot diverge between entry points.
-
-The former free functions :func:`run_simulation` and
-:func:`run_with_collector` survive as thin deprecated shims over
-:class:`Engine` (``repro check`` rule API002 keeps the tree itself off
-them).
+order cannot diverge between sources.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -51,10 +47,9 @@ def _span_scalar(
     """Feed one contiguous span of references through ``scheme``,
     recording every event from local index ``warmup_local`` onward.
 
-    The span is the whole trace for :func:`_drive` (``warmup_local`` is
-    then the global warm-up count) and one chunk for
-    :func:`_drive_stream` (``warmup_local`` is the warm-up boundary
-    clamped into the chunk — 0 once warm-up is behind us).
+    The span is one chunk of :func:`_drive` (``warmup_local`` is the
+    global warm-up boundary clamped into the chunk — 0 once warm-up is
+    behind us).
 
     Zero-allocation iteration: the column arrays are walked through
     ``memoryview`` s, which yield plain Python ints per element (dict-key
@@ -84,48 +79,26 @@ def _span_scalar(
             record(access(0, block))
 
 
-def _drive(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float,
-    metrics: MetricsCollector,
-) -> int:
-    """Feed the whole trace through ``scheme``, recording post-warm-up
-    events into ``metrics``; returns the warm-up reference count. One
-    whole-trace span through :func:`_span_scalar`.
-    """
-    check_fraction("warmup_fraction", warmup_fraction)
-    warmup_count = int(len(trace) * warmup_fraction)
-    _span_scalar(
-        scheme,
-        trace.blocks,
-        trace.clients if trace.clients.any() else None,
-        warmup_count,
-        metrics,
-    )
-    return warmup_count
-
-
 # repro: bound O(n) amortized -- chunks partition the stream and
 # each span loop visits every reference of its chunk once
-def _drive_stream(
+def _drive(
     scheme: MultiLevelScheme,
     source: Union[Trace, StreamingTrace],
     warmup_fraction: float,
     metrics: MetricsCollector,
     chunk_size: int,
 ) -> int:
-    """Chunk-wise drive over a streaming source; returns the warm-up
-    reference count.
+    """Feed ``source`` through ``scheme`` chunk by chunk, recording
+    post-warm-up events into ``metrics``; returns the warm-up reference
+    count.
 
-    Each chunk goes through the span loop the materialised drive
-    uses, with the global warm-up boundary clamped into the chunk
-    (``warmup_local``), so the recorded counters are bit-identical to
-    materialising the source and calling :func:`_drive` — only peak
-    memory differs: at most one chunk of the reference stream is
-    resident at a time (for an mmap-backed
-    :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy view of the
-    page cache).
+    Each chunk goes through :func:`_span_scalar` with the global warm-up
+    boundary clamped into the chunk (``warmup_local``), so the recorded
+    counters do not depend on ``chunk_size`` — only peak memory does: at
+    most one chunk of the reference stream is resident at a time (for an
+    mmap-backed :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy
+    view of the page cache; an in-memory :class:`Trace` is sliced
+    without copying).
     """
     check_fraction("warmup_fraction", warmup_fraction)
     warmup_count = int(len(source) * warmup_fraction)
@@ -171,8 +144,20 @@ class Engine:
         self.costs = costs
         self.warmup_fraction = warmup_fraction
 
-    def drive(self, trace: Trace) -> RunResult:
-        """Drive ``trace`` through the scheme; return the measured result."""
+    def drive(
+        self,
+        source: Union[Trace, StreamingTrace],
+        *,
+        chunk_size: int = DEFAULT_CHUNK_REFS,
+    ) -> RunResult:
+        """Drive ``source`` through the scheme; return the measured result.
+
+        ``source`` is an in-memory :class:`Trace` or any
+        :class:`~repro.workloads.io.StreamingTrace` (e.g. an on-disk
+        :class:`~repro.workloads.io.ColumnarTrace`), consumed one
+        ``chunk_size`` span at a time; the result does not depend on
+        ``chunk_size``.
+        """
         if self.costs is None:
             raise ConfigurationError(
                 "Engine.drive needs a cost model: construct the Engine "
@@ -182,58 +167,6 @@ class Engine:
             self.scheme.num_levels, self.scheme.num_clients
         )
         warmup_count = _drive(
-            self.scheme, trace, self.warmup_fraction, metrics
-        )
-        return result_from_metrics(
-            self.scheme.name,
-            trace.info.name,
-            list(self.scheme.capacities),
-            metrics,
-            self.costs,
-            warmup_count,
-        )
-
-    def collect(
-        self,
-        trace: Trace,
-        *,
-        collector: Optional[MetricsCollector] = None,
-    ) -> MetricsCollector:
-        """Drive ``trace`` and return the raw collector (tests,
-        custom analyses). Same loop as :meth:`drive`."""
-        metrics = collector or MetricsCollector(
-            self.scheme.num_levels, self.scheme.num_clients
-        )
-        _drive(self.scheme, trace, self.warmup_fraction, metrics)
-        return metrics
-
-    def drive_stream(
-        self,
-        source: Union[Trace, StreamingTrace],
-        *,
-        chunk_size: int = DEFAULT_CHUNK_REFS,
-    ) -> RunResult:
-        """Drive a streaming source chunk-wise; return the measured
-        result.
-
-        The streaming analogue of :meth:`drive`: ``source`` may be an
-        on-disk :class:`~repro.workloads.io.ColumnarTrace` (or any
-        :class:`~repro.workloads.io.StreamingTrace`) and is consumed
-        one ``chunk_size`` span at a time — the full reference array is
-        never materialised. Counters, and therefore the packaged
-        result, are bit-identical to materialising the source and
-        calling :meth:`drive`.
-        """
-        if self.costs is None:
-            raise ConfigurationError(
-                "Engine.drive_stream needs a cost model: construct the "
-                "Engine with costs=..., or use Engine.collect_stream "
-                "for raw counters"
-            )
-        metrics = MetricsCollector(
-            self.scheme.num_levels, self.scheme.num_clients
-        )
-        warmup_count = _drive_stream(
             self.scheme, source, self.warmup_fraction, metrics, chunk_size
         )
         return result_from_metrics(
@@ -245,42 +178,21 @@ class Engine:
             warmup_count,
         )
 
-    def collect_stream(
+    def collect(
         self,
         source: Union[Trace, StreamingTrace],
         *,
         chunk_size: int = DEFAULT_CHUNK_REFS,
-        collector: Optional[MetricsCollector] = None,
     ) -> MetricsCollector:
-        """Drive a streaming source chunk-wise and return the raw
-        collector. Same loop as :meth:`drive_stream`."""
-        metrics = collector or MetricsCollector(
+        """Drive ``source`` and return the raw collector (tests,
+        custom analyses). Same loop as :meth:`drive`."""
+        metrics = MetricsCollector(
             self.scheme.num_levels, self.scheme.num_clients
         )
-        _drive_stream(
+        _drive(
             self.scheme, source, self.warmup_fraction, metrics, chunk_size
         )
         return metrics
-
-
-def run_simulation(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    costs: CostModel,
-    warmup_fraction: float = DEFAULT_WARMUP,
-) -> RunResult:
-    """Deprecated shim: use ``Engine(scheme, costs).drive(trace)``.
-
-    Kept (for one release) so existing callers continue to work; the
-    behaviour is identical to the Engine path it forwards to.
-    """
-    warnings.warn(
-        "run_simulation() is deprecated; use "
-        "Engine(scheme, costs, warmup_fraction=...).drive(trace)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Engine(scheme, costs, warmup_fraction=warmup_fraction).drive(trace)
 
 
 def result_from_metrics(
@@ -353,8 +265,11 @@ def _result_extras(metrics: MetricsCollector) -> dict:
         "evictions": float(metrics.evictions),
     }
     if metrics.num_clients > 1:
-        # Deprecated: the stringly clientN_* keys duplicate the typed
-        # RunResult.per_client entries and are kept for one release.
+        # The stringly clientN_* keys duplicate the typed
+        # RunResult.per_client entries. They stay because
+        # RunResult.comparable() includes them and the committed golden
+        # and benchmark digests hash comparable(); dropping them must
+        # wait for a benchmark change that re-records those digests.
         for client in range(metrics.num_clients):
             refs = metrics.per_client_refs[client]
             misses = metrics.per_client_misses[client]
@@ -367,20 +282,3 @@ def _result_extras(metrics: MetricsCollector) -> dict:
             )
     return extras
 
-
-def run_with_collector(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float = DEFAULT_WARMUP,
-    collector: Optional[MetricsCollector] = None,
-) -> MetricsCollector:
-    """Deprecated shim: use ``Engine(scheme).collect(trace)``."""
-    warnings.warn(
-        "run_with_collector() is deprecated; use "
-        "Engine(scheme, warmup_fraction=...).collect(trace)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Engine(scheme, warmup_fraction=warmup_fraction).collect(
-        trace, collector=collector
-    )

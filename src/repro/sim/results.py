@@ -47,9 +47,11 @@ class RunResult:
     ``t_hit_ms + t_miss_ms + t_demotion_ms + t_message_ms == t_ave_ms``
     (``t_message_ms`` is the control-message share, which older versions
     folded into ``t_demotion_ms``). Multi-client runs carry one
-    :class:`ClientStats` per client in ``per_client`` (the stringly
-    ``extras["clientN_*"]`` keys are deprecated duplicates, kept for one
-    release).
+    :class:`ClientStats` per client in ``per_client``. The stringly
+    ``extras["clientN_*"]`` keys duplicate those entries; they stay
+    because :meth:`comparable` includes them and the committed golden
+    and benchmark digests hash it, until a benchmark change re-records
+    those digests.
     """
 
     scheme: str

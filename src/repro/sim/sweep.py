@@ -3,46 +3,40 @@
 Figure 7 sweeps the server cache size for four schemes over three
 multi-client workloads; this module provides the generic machinery.
 
-Two execution paths:
+Builders are always :class:`repro.runner.SchemeSpec` values (registry
+name + kwargs). Two execution paths, chosen by the workload:
 
-- **Spec path** (parallel, cacheable): pass the schemes as
-  :class:`repro.runner.SchemeSpec` values and the workload as a
+- **Spec path** (parallel, cacheable): the workload is a
   :class:`repro.runner.WorkloadSpec`; every (scheme, size) point becomes
   a :class:`repro.runner.RunSpec` and the batch fans out over
   :func:`repro.runner.run_specs` honouring ``jobs`` / ``cache_dir``.
-- **Legacy path** (serial): pass scheme-builder callables and a live
-  :class:`~repro.workloads.base.Trace`, as before. Callables and live
-  traces cannot cross a process boundary or be content-hashed, so
-  ``jobs`` / ``cache_dir`` are ignored on this path.
+- **In-process path** (serial): the workload is a live
+  :class:`~repro.workloads.base.Trace`. A live trace cannot cross a
+  process boundary or be content-hashed, so ``jobs`` / ``cache_dir``
+  are ignored on this path.
 
 On either path, sweeps over the single-client LRU-family schemes
-(``unilru``, ``indlru`` — declared as :class:`~repro.runner.SchemeSpec`
-builders so they can be introspected) are *derived analytically*: one
-stack-distance profiling pass over the trace yields every server-size
-point at once (:mod:`repro.analysis.mrc`), bit-identical to the
-per-point simulations it replaces and an order of magnitude faster for
-many-point sweeps. Adaptive schemes (ULC, MQ ...), multi-client runs and
-legacy callables fall back to point simulation; ``use_mrc=False`` forces
-the fallback everywhere. Derived results flow through the same result
-cache under the same spec hashes, so cached point runs and MRC-derived
-curves are interchangeable.
+(``unilru``, ``indlru``) are *derived analytically*: one stack-distance
+profiling pass over the trace yields every server-size point at once
+(:mod:`repro.analysis.mrc`), bit-identical to the per-point simulations
+it replaces and an order of magnitude faster for many-point sweeps.
+Adaptive schemes (ULC, MQ ...) and multi-client runs fall back to point
+simulation; ``use_mrc=False`` forces the fallback everywhere. Derived
+results flow through the same result cache under the same spec hashes,
+so cached point runs and MRC-derived curves are interchangeable.
 """
 
 from __future__ import annotations
 
 import time  # repro: noqa DET001 -- wall-clock timing is metadata, not simulation output
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
-from repro.hierarchy.base import MultiLevelScheme
 from repro.sim.costs import CostModel
 from repro.sim.engine import DEFAULT_WARMUP, Engine
 from repro.sim.results import RunResult
 from repro.workloads.base import Trace
-
-SchemeBuilder = Callable[[List[int]], MultiLevelScheme]
 
 
 @dataclass(frozen=True)
@@ -131,17 +125,19 @@ def sweep_server_size(
 ) -> Dict[str, List[SweepPoint]]:
     """Run every scheme at every server size over ``trace``.
 
-    ``builders`` maps a scheme label to either a
-    :class:`repro.runner.SchemeSpec` (registry name + kwargs) or a
-    legacy callable building a fresh scheme from
-    ``[client_capacity, server_size]`` (fresh state per point — sweeps
-    never reuse warm caches). ``trace`` is correspondingly a
+    ``builders`` maps a scheme label to a
+    :class:`repro.runner.SchemeSpec` (registry name + kwargs), built
+    fresh at ``[client_capacity, server_size]`` for every point — sweeps
+    never reuse warm caches. ``trace`` is a
     :class:`repro.runner.WorkloadSpec` or a live
-    :class:`~repro.workloads.base.Trace`.
+    :class:`~repro.workloads.base.Trace`; anything else, or a builder
+    that is not a :class:`~repro.runner.SchemeSpec`, raises
+    :class:`TypeError`.
 
-    With specs, ``jobs`` selects the worker-process count (``None``/1
-    serial, 0 all cores) and ``cache_dir`` an on-disk result cache;
-    parallel results are identical to serial ones.
+    With a :class:`~repro.runner.WorkloadSpec`, ``jobs`` selects the
+    worker-process count (``None``/1 serial, 0 all cores) and
+    ``cache_dir`` an on-disk result cache; parallel results are
+    identical to serial ones.
 
     ``check_invariants`` (an interval in references) validates every
     scheme's structural invariants while it runs — see
@@ -162,12 +158,18 @@ def sweep_server_size(
 
     check_invariants = resolve_check_interval(check_invariants)
 
-    all_specs = builders and all(
+    if not all(
         isinstance(builder, SchemeSpec) for builder in builders.values()
-    )
-    if all_specs and isinstance(trace, WorkloadSpec):
+    ) or not isinstance(trace, (WorkloadSpec, Trace)):
+        raise TypeError(
+            "sweep_server_size needs SchemeSpec builders with a "
+            "WorkloadSpec or a live Trace; got "
+            f"{type(trace).__name__} with builder types "
+            f"{sorted({type(b).__name__ for b in builders.values()})}"
+        )
+    if isinstance(trace, WorkloadSpec):
         return _sweep_specs(
-            builders,  # type: ignore[arg-type]
+            builders,
             trace,
             client_capacity,
             server_sizes,
@@ -178,23 +180,6 @@ def sweep_server_size(
             cache_dir,
             check_invariants,
             use_mrc,
-        )
-    if not isinstance(trace, Trace):
-        raise TypeError(
-            "sweep_server_size needs a WorkloadSpec with SchemeSpec "
-            "builders, or a Trace; got "
-            f"{type(trace).__name__} with builder types "
-            f"{sorted({type(b).__name__ for b in builders.values()})}"
-        )
-    if any(
-        not isinstance(builder, SchemeSpec) for builder in builders.values()
-    ):
-        warnings.warn(
-            "legacy callable builders are deprecated; pass SchemeSpec "
-            "builders (with a WorkloadSpec trace) so sweeps can use the "
-            "executor, the result cache and the MRC shortcut",
-            DeprecationWarning,
-            stacklevel=2,
         )
 
     mrc_labels = _mrc_labels(builders, num_clients, use_mrc)
@@ -220,12 +205,9 @@ def sweep_server_size(
         for label, builder in builders.items():
             if label in mrc_labels:
                 continue
-            if isinstance(builder, SchemeSpec):
-                scheme = builder.build(
-                    [client_capacity, int(server_size)], num_clients
-                )
-            else:
-                scheme = builder([client_capacity, int(server_size)])
+            scheme = builder.build(
+                [client_capacity, int(server_size)], num_clients
+            )
             if check_invariants is not None:
                 from repro.checks import InvariantCheckedScheme
 

@@ -20,7 +20,7 @@ Streaming formats (for traces too large to materialise):
   :class:`TraceChunk` batches without ever holding the whole file.
 
 :class:`StreamingTrace` is the chunk-wise consumption contract shared
-by the simulation engine (``Engine.drive_stream``) and the approximate
+by the simulation engine (``Engine.drive``) and the approximate
 MRC profilers (:mod:`repro.analysis.approx`); :func:`iter_chunks`
 adapts an in-memory :class:`Trace` to the same protocol so every
 consumer is written once against chunks.
@@ -171,11 +171,11 @@ def load_text(path: PathLike) -> Trace:
 class StreamingTrace:
     """A length-known reference stream consumed chunk by chunk.
 
-    The contract shared by the streaming profilers and
-    ``Engine.drive_stream``: ``len(source)`` is the total reference
-    count, ``source.info`` describes the trace, and
-    ``source.chunks(chunk_size)`` yields :class:`TraceChunk` batches in
-    stream order with correct global offsets. Implementations must
+    The contract shared by the streaming profilers and ``Engine.drive``
+    / ``Engine.collect``: ``len(source)`` is the total reference count,
+    ``source.info`` describes the trace, and ``source.chunks(chunk_size)``
+    yields :class:`TraceChunk` batches in stream order with correct
+    global offsets. Implementations must
     never require the whole stream to be resident.
     """
 

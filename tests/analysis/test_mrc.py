@@ -2,7 +2,7 @@
 
 The load-bearing property is *bit-identity*: every hit rate, demotion
 rate and time component of an MRC-derived sweep point must equal — as
-floats, not approximately — what per-capacity ``run_simulation`` + the
+floats, not approximately — what per-capacity ``Engine.drive`` + the
 live scheme produce. These tests pin that equivalence for the LRU-family
 schemes on the seed synthetic workloads, warm-up included, plus the
 profiling kernel itself against a reference implementation and the
@@ -25,8 +25,7 @@ from repro.analysis.mrc import (
 from repro.errors import ConfigurationError
 from repro.hierarchy.registry import make_scheme
 from repro.runner.spec import SchemeSpec, WorkloadSpec
-from repro.sim import paper_two_level, sweep_server_size
-from repro.sim.engine import run_simulation
+from repro.sim import Engine, paper_two_level, sweep_server_size
 from repro.workloads.base import Trace
 from repro.workloads.synthetic import (
     looping_trace,
@@ -98,9 +97,11 @@ class TestMissRatioCurve:
         curve = mrc_for_trace(trace, 0.1, capacities=[4, 16, 48, 96, 200])
         for capacity, rate in zip(curve.capacities, curve.hit_rates):
             # A [C, 1] uniLRU's level 1 is exactly an LRU of capacity C.
-            sim = run_simulation(
-                make_scheme("unilru", [capacity, 1], 1), trace, costs, 0.1
-            )
+            sim = Engine(
+                make_scheme("unilru", [capacity, 1], 1),
+                costs,
+                warmup_fraction=0.1,
+            ).drive(trace)
             assert sim.level_hit_rates[0] == rate
 
     def test_warmup_region_excluded_but_warms(self):
@@ -201,9 +202,9 @@ class TestSweepEquivalence:
             scheme, trace, 48, sizes, costs, 0.1
         )
         for size, result in zip(sizes, derived):
-            sim = run_simulation(
-                make_scheme(scheme, [48, size], 1), trace, costs, 0.1
-            )
+            sim = Engine(
+                make_scheme(scheme, [48, size], 1), costs, warmup_fraction=0.1
+            ).drive(trace)
             assert result.comparable() == sim.comparable()
 
     def test_zero_warmup_included(self):
@@ -212,9 +213,9 @@ class TestSweepEquivalence:
         [derived] = derive_sweep_results(
             "unilru", trace, 32, [128], costs, warmup_fraction=0.0
         )
-        sim = run_simulation(
-            make_scheme("unilru", [32, 128], 1), trace, costs, 0.0
-        )
+        sim = Engine(
+            make_scheme("unilru", [32, 128], 1), costs, warmup_fraction=0.0
+        ).drive(trace)
         assert derived.comparable() == sim.comparable()
 
     def test_sweep_auto_detection_matches_point_simulation(self):
@@ -266,8 +267,8 @@ class TestSweepEquivalence:
             {"uniLRU": SchemeSpec("unilru")}, trace, 32, [64, 256], costs
         )
         slow = sweep_server_size(
-            {"uniLRU": lambda caps: make_scheme("unilru", caps, 1)},
-            trace, 32, [64, 256], costs,
+            {"uniLRU": SchemeSpec("unilru")},
+            trace, 32, [64, 256], costs, use_mrc=False,
         )
         for a, b in zip(fast["uniLRU"], slow["uniLRU"]):
             assert a.result.comparable() == b.result.comparable()

@@ -449,4 +449,4 @@ class TestLiveTree:
     def test_entry_points_present(self):
         project, _ = analyze([SRC_REPRO])
         names = {f.name for f in project.functions.values()}
-        assert {"run_simulation", "run_specs", "spec_hash"} <= names
+        assert {"drive", "collect", "run_specs", "spec_hash"} <= names

@@ -148,13 +148,13 @@ class TestThreeLevelStress:
             system.check_invariants()
 
     def test_scheme_adapter_runs_workload(self):
-        from repro.sim import paper_three_level, run_simulation
+        from repro.sim import Engine, paper_three_level
         from repro.workloads import db2_like
 
         trace = db2_like(scale=1 / 1024, num_refs=20000)
         scheme = ULCMultiLevelScheme(
             [32, 128, 256], num_clients=trace.num_clients
         )
-        result = run_simulation(scheme, trace, paper_three_level())
+        result = Engine(scheme, paper_three_level()).drive(trace)
         assert result.total_hit_rate > 0
         assert len(result.level_hit_rates) == 3

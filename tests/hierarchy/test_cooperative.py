@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hierarchy import CooperativeScheme, IndependentScheme, cooperative_costs
-from repro.sim import run_simulation
+from repro.sim import Engine
 from repro.workloads import openmail_like
 
 
@@ -91,10 +91,10 @@ class TestNChance:
         clients = trace.num_clients
         coop = CooperativeScheme([64, 32], num_clients=clients, n_chance=2)
         base = IndependentScheme([64, 32], num_clients=clients)
-        coop_result = run_simulation(coop, trace, costs)
+        coop_result = Engine(coop, costs).drive(trace)
         from repro.sim import paper_two_level
 
-        base_result = run_simulation(base, trace, paper_two_level())
+        base_result = Engine(base, paper_two_level()).drive(trace)
         assert coop_result.total_hit_rate >= base_result.total_hit_rate
 
     @settings(max_examples=20, deadline=None)

@@ -86,17 +86,17 @@ class TestSingleClientEquivalences:
 
     def test_cost_equivalence_on_real_workload(self):
         """The reporting difference is cost-free: T_ave agrees exactly."""
-        from repro.sim import paper_two_level, run_simulation
+        from repro.sim import Engine, paper_two_level
         from repro.workloads import zipf_trace
 
         trace = zipf_trace(200, 20000, seed=9)
         costs = paper_two_level()
-        single = run_simulation(
-            ULCScheme([30, 60], templru_capacity=0), trace, costs
-        )
-        multi = run_simulation(
-            ULCMultiScheme([30, 60], 1, templru_capacity=0), trace, costs
-        )
+        single = Engine(
+            ULCScheme([30, 60], templru_capacity=0), costs
+        ).drive(trace)
+        multi = Engine(
+            ULCMultiScheme([30, 60], 1, templru_capacity=0), costs
+        ).drive(trace)
         assert single.t_ave_ms == pytest.approx(multi.t_ave_ms, abs=1e-9)
         assert single.level_hit_rates == pytest.approx(multi.level_hit_rates)
         assert single.demotion_rates == pytest.approx(multi.demotion_rates)

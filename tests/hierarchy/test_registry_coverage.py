@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hierarchy import available_schemes, make_scheme
-from repro.sim import paper_three_level, paper_two_level, run_simulation
+from repro.sim import Engine, paper_three_level, paper_two_level
 from repro.workloads import zipf_trace
 
 
@@ -15,7 +15,7 @@ def test_every_single_client_scheme_builds_and_runs(name):
     scheme = make_scheme(name, levels)
     trace = zipf_trace(60, 2000, seed=1)
     costs = paper_two_level() if len(levels) == 2 else paper_three_level()
-    result = run_simulation(scheme, trace, costs)
+    result = Engine(scheme, costs).drive(trace)
     assert result.references > 0
     assert 0 <= result.total_hit_rate <= 1
 
@@ -31,7 +31,7 @@ def test_every_multi_client_scheme_builds_and_runs(name):
     clients = [i % 3 for i in range(len(trace))]
     trace = Trace(trace.blocks, clients, trace.info)
     costs = paper_two_level() if len(levels) == 2 else paper_three_level()
-    result = run_simulation(scheme, trace, costs)
+    result = Engine(scheme, costs).drive(trace)
     assert result.references > 0
     assert result.num_clients == 3
 

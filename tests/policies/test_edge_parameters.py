@@ -157,6 +157,22 @@ class TestLIRSParameters:
         with pytest.raises(ConfigurationError):
             LIRSPolicy(4, ghost_factor=0)
 
+    @pytest.mark.parametrize("ghost_factor", [float("inf"), float("nan")])
+    def test_non_finite_ghost_factor(self, ghost_factor):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="ghost_factor"):
+            LIRSPolicy(8, ghost_factor=ghost_factor)
+
+    @pytest.mark.parametrize(
+        "hir_fraction", [float("inf"), float("nan"), 0, 1, 1.5]
+    )
+    def test_hir_fraction_outside_open_interval(self, hir_fraction):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="hir_fraction"):
+            LIRSPolicy(8, hir_fraction=hir_fraction)
+
 
 class TestOPTEdges:
     def test_remove_and_reinsert_in_order(self):

@@ -175,24 +175,24 @@ class TestPerClient:
 
 
 class TestSweepSpecPath:
-    def test_spec_sweep_matches_legacy_sweep(self):
-        from repro.hierarchy import IndependentScheme, ULCScheme
+    def test_in_process_sweep_matches_spec_sweep(self):
+        """A live-Trace sweep (serial, in-process, point-simulated)
+        matches the WorkloadSpec sweep through run_specs."""
         from repro.runner import materialize_trace
 
         trace = materialize_trace(WORKLOAD)
         costs = paper_two_level()
-        legacy = sweep_server_size(
-            {
-                "indLRU": lambda caps: IndependentScheme(caps),
-                "ULC": lambda caps: ULCScheme(caps),
-            },
+        builders = {"indLRU": SchemeSpec("indlru"), "ULC": SchemeSpec("ulc")}
+        in_process = sweep_server_size(
+            builders,
             trace,
             client_capacity=16,
             server_sizes=[24, 48],
             costs=costs,
+            use_mrc=False,
         )
         via_specs = sweep_server_size(
-            {"indLRU": SchemeSpec("indlru"), "ULC": SchemeSpec("ulc")},
+            builders,
             WORKLOAD,
             client_capacity=16,
             server_sizes=[24, 48],
@@ -200,7 +200,7 @@ class TestSweepSpecPath:
             jobs=2,
         )
         for label in ("indLRU", "ULC"):
-            old = [p.result.comparable() for p in legacy[label]]
+            old = [p.result.comparable() for p in in_process[label]]
             new = [p.result.comparable() for p in via_specs[label]]
             assert old == new
 

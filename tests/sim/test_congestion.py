@@ -100,13 +100,13 @@ class TestCongestedAccessTime:
         demotion traffic saturates the link at a rate ULC sustains
         easily."""
         from repro.hierarchy import ULCScheme, UnifiedLRUMultiScheme
-        from repro.sim import run_simulation
+        from repro.sim import Engine
         from repro.workloads import looping_trace
 
         trace = looping_trace(60, 8000)
         costs = paper_two_level()
-        uni = run_simulation(UnifiedLRUMultiScheme([20, 50]), trace, costs)
-        ulc = run_simulation(
-            ULCScheme([20, 50], templru_capacity=0), trace, costs
-        )
+        uni = Engine(UnifiedLRUMultiScheme([20, 50]), costs).drive(trace)
+        ulc = Engine(
+            ULCScheme([20, 50], templru_capacity=0), costs
+        ).drive(trace)
         assert saturation_rate(ulc, costs) > 2 * saturation_rate(uni, costs)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hierarchy import IndependentScheme, ULCScheme, UnifiedLRUScheme
+from repro.runner import SchemeSpec
 from repro.sim import (
     Engine,
     RunResult,
@@ -13,22 +14,19 @@ from repro.sim import (
     load_results,
     paper_three_level,
     paper_two_level,
-    run_simulation,
-    run_with_collector,
     save_results,
     sweep_server_size,
 )
 from repro.workloads import Trace, looping_trace, zipf_trace
-from tests.core.golden_core import result_hash
 
 
 class TestEngine:
     def test_warmup_excluded_from_metrics(self):
         trace = Trace([1, 2, 3, 1, 1, 1, 1, 1, 1, 1])
         scheme = IndependentScheme([4, 4])
-        result = run_simulation(
-            scheme, trace, paper_two_level(), warmup_fraction=0.3
-        )
+        result = Engine(
+            scheme, paper_two_level(), warmup_fraction=0.3
+        ).drive(trace)
         assert result.warmup_references == 3
         assert result.references == 7
         # All measured references hit the client cache.
@@ -37,26 +35,24 @@ class TestEngine:
 
     def test_zero_warmup(self):
         trace = Trace([1, 1])
-        result = run_simulation(
-            IndependentScheme([2, 2]), trace, paper_two_level(),
-            warmup_fraction=0.0,
-        )
+        result = Engine(
+            IndependentScheme([2, 2]), paper_two_level(), warmup_fraction=0.0
+        ).drive(trace)
         assert result.references == 2
         assert result.miss_rate == pytest.approx(0.5)
 
     def test_invalid_warmup(self):
         with pytest.raises(ConfigurationError):
-            run_simulation(
+            Engine(
                 IndependentScheme([2, 2]),
-                Trace([1]),
                 paper_two_level(),
                 warmup_fraction=2.0,
-            )
+            ).drive(Trace([1]))
 
     def test_result_fields(self):
         trace = zipf_trace(50, 2000, seed=1)
         scheme = ULCScheme([8, 8, 8])
-        result = run_simulation(scheme, trace, paper_three_level())
+        result = Engine(scheme, paper_three_level()).drive(trace)
         assert result.scheme == "ULC"
         assert result.workload == "zipf"
         assert result.capacities == [8, 8, 8]
@@ -73,9 +69,9 @@ class TestEngine:
 
     def test_run_with_collector(self):
         trace = Trace([1, 1, 2])
-        metrics = run_with_collector(
-            IndependentScheme([2, 2]), trace, warmup_fraction=0.0
-        )
+        metrics = Engine(
+            IndependentScheme([2, 2]), warmup_fraction=0.0
+        ).collect(trace)
         assert metrics.references == 3
         assert metrics.total_hit_rate == pytest.approx(1 / 3)
 
@@ -83,15 +79,15 @@ class TestEngine:
         """End-to-end reproduction of the tpcc1 pathology: 100% boundary-1
         demotion rate for uniLRU on a loop spanning both levels."""
         trace = looping_trace(30, 3000)
-        result = run_simulation(
-            UnifiedLRUScheme([10, 25]), trace, paper_two_level(),
-            warmup_fraction=0.1,
-        )
+        result = Engine(
+            UnifiedLRUScheme([10, 25]), paper_two_level(), warmup_fraction=0.1
+        ).drive(trace)
         assert result.demotion_rates[0] == pytest.approx(1.0)
-        ulc = run_simulation(
-            ULCScheme([10, 25], templru_capacity=0), trace, paper_two_level(),
+        ulc = Engine(
+            ULCScheme([10, 25], templru_capacity=0),
+            paper_two_level(),
             warmup_fraction=0.1,
-        )
+        ).drive(trace)
         assert ulc.demotion_rates[0] < 0.1
         assert ulc.t_ave_ms < result.t_ave_ms
 
@@ -99,10 +95,9 @@ class TestEngine:
 class TestResultsIO:
     def test_roundtrip(self, tmp_path):
         trace = Trace([1, 2, 1, 2])
-        result = run_simulation(
-            IndependentScheme([1, 1]), trace, paper_two_level(),
-            warmup_fraction=0.0,
-        )
+        result = Engine(
+            IndependentScheme([1, 1]), paper_two_level(), warmup_fraction=0.0
+        ).drive(trace)
         path = tmp_path / "results.json"
         save_results([result], path)
         loaded = load_results(path)
@@ -127,8 +122,8 @@ class TestSweep:
     def test_sweep_runs_every_point(self):
         trace = zipf_trace(60, 3000, seed=2)
         builders = {
-            "indLRU": lambda caps: IndependentScheme(caps),
-            "ULC": lambda caps: ULCScheme(caps, templru_capacity=0),
+            "indLRU": SchemeSpec("indlru"),
+            "ULC": SchemeSpec("ulc", {"templru_capacity": 0}),
         }
         series = sweep_server_size(
             builders, trace, client_capacity=8,
@@ -146,8 +141,8 @@ class TestSweep:
     def test_best_of_selects_minimum(self):
         trace = zipf_trace(60, 2000, seed=3)
         builders = {
-            "a": lambda caps: IndependentScheme(caps),
-            "b": lambda caps: ULCScheme(caps, templru_capacity=0),
+            "a": SchemeSpec("indlru"),
+            "b": SchemeSpec("ulc", {"templru_capacity": 0}),
         }
         series = sweep_server_size(
             builders, trace, 8, [8], paper_two_level()
@@ -163,9 +158,8 @@ class TestSweep:
 
 
 class TestFacadeContract:
-    """``Engine`` is the one drive entry point; the free-function shims
-    the API002 check rule keeps the tree itself off still warn and
-    forward to it."""
+    """``Engine`` is the one drive entry point, and sweeps take only
+    ``SchemeSpec`` builders."""
 
     def test_drive_without_costs_raises(self):
         engine = Engine(ULCScheme([4, 4]))
@@ -176,27 +170,13 @@ class TestFacadeContract:
         metrics = Engine(ULCScheme([4, 4])).collect(Trace([1, 2, 1, 1]))
         assert metrics.references > 0
 
-    def test_run_simulation_shim_warns_and_matches(self):
-        trace = zipf_trace(num_blocks=64, num_refs=500, seed=2)
-        costs = paper_two_level()
-        with pytest.warns(DeprecationWarning, match="run_simulation"):
-            legacy = run_simulation(ULCScheme([8, 16]), trace, costs)
-        modern = Engine(ULCScheme([8, 16]), costs).drive(trace)
-        assert result_hash(legacy) == result_hash(modern)
-
-    def test_run_with_collector_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_with_collector"):
-            metrics = run_with_collector(ULCScheme([4, 4]), Trace([1, 2, 1]))
-        assert metrics.references > 0
-
-    def test_legacy_sweep_builders_warn(self):
+    def test_callable_sweep_builders_rejected(self):
         trace = zipf_trace(num_blocks=64, num_refs=400, seed=3)
-        with pytest.warns(DeprecationWarning, match="legacy callable"):
-            points = sweep_server_size(
+        with pytest.raises(TypeError, match="SchemeSpec"):
+            sweep_server_size(
                 {"uniLRU": lambda caps: UnifiedLRUScheme(caps)},
                 trace,
                 8,
                 [16, 32],
                 paper_two_level(),
             )
-        assert len(points["uniLRU"]) == 2

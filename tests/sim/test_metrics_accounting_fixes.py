@@ -23,7 +23,7 @@ from repro.core.events import AccessEvent, Demotion
 from repro.errors import ProtocolError
 from repro.hierarchy.registry import make_scheme
 from repro.sim.costs import CostModel
-from repro.sim.engine import run_simulation
+from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import RunResult, save_results_csv
 from repro.workloads.synthetic import zipf_trace
@@ -77,14 +77,13 @@ class TestMessageTimeComponent:
         # Control messages are counted in the immediate-notification
         # mode of the multi-client ULC system (the E8b ablation).
         trace = make_multi_workload("httpd", scale=0.02, num_refs=2000)
-        result = run_simulation(
+        result = Engine(
             make_scheme(
                 "ulc", [32, 128], trace.num_clients, notify="immediate"
             ),
-            trace,
             MESSAGE_COSTS,
-            0.1,
-        )
+            warmup_fraction=0.1,
+        ).drive(trace)
         assert result.t_message_ms > 0.0
         assert result.t_ave_ms == (
             result.t_hit_ms
@@ -95,9 +94,9 @@ class TestMessageTimeComponent:
 
     def test_comparable_and_csv_carry_the_field(self, tmp_path):
         trace = zipf_trace(100, 800, seed=6)
-        result = run_simulation(
-            make_scheme("ulc", [16, 64], 1), trace, MESSAGE_COSTS, 0.1
-        )
+        result = Engine(
+            make_scheme("ulc", [16, 64], 1), MESSAGE_COSTS, warmup_fraction=0.1
+        ).drive(trace)
         assert "t_message_ms" in result.comparable()
         path = tmp_path / "out.csv"
         save_results_csv([result], path)

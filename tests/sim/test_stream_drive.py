@@ -1,12 +1,12 @@
-"""``Engine.drive_stream``: chunk-wise drive, bit-identical results.
+"""``Engine.drive``/``collect`` over chunks: bit-identical results.
 
-The streaming drive consumes a :class:`StreamingTrace` (or a plain
-trace) one chunk at a time — warm-up is clamped per chunk — and
-promises counters *bit-identical* to materialising the source and
-calling :meth:`Engine.drive`. These tests pin that promise across chunk
-sizes that straddle the warm-up boundary, multi-client traces, and an
-actual on-disk columnar source (proving the engine path works off the
-mmap reader, not just in-memory slices).
+The engine consumes a :class:`Trace` or a :class:`StreamingTrace` one
+``chunk_size`` span at a time — warm-up is clamped per chunk — and
+promises counters *bit-identical* whatever the chunk size and whether
+the source is in memory or on disk. These tests pin that promise across
+chunk sizes that straddle the warm-up boundary, multi-client traces,
+and an actual on-disk columnar source (proving the engine path works
+off the mmap reader, not just in-memory slices).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def test_stream_scalar_matches_drive(chunk_size):
     trace = zipf_trace(512, 4_000, seed=5)
     costs = paper_three_level()
     plain = Engine(ULCScheme([64, 128, 256]), costs).drive(trace)
-    streamed = Engine(ULCScheme([64, 128, 256]), costs).drive_stream(
+    streamed = Engine(ULCScheme([64, 128, 256]), costs).drive(
         trace, chunk_size=chunk_size
     )
     assert result_hash(streamed) == result_hash(plain)
@@ -45,7 +45,7 @@ def test_stream_multi_client_matches_drive(chunk_size):
     ).drive(trace)
     streamed = Engine(
         ULCMultiScheme([32, 128], 3), costs
-    ).drive_stream(trace, chunk_size=chunk_size)
+    ).drive(trace, chunk_size=chunk_size)
     assert result_hash(streamed) == result_hash(plain)
 
 
@@ -54,7 +54,7 @@ def test_stream_from_columnar_source_matches_drive(tmp_path):
     columnar = save_columnar(trace, tmp_path / "t.ctr")
     costs = paper_three_level()
     plain = Engine(ULCScheme([64, 128, 256]), costs).drive(trace)
-    streamed = Engine(ULCScheme([64, 128, 256]), costs).drive_stream(
+    streamed = Engine(ULCScheme([64, 128, 256]), costs).drive(
         columnar, chunk_size=512
     )
     assert result_hash(streamed) == result_hash(plain)
@@ -72,7 +72,7 @@ def test_stream_warmup_straddles_chunks():
         ULCScheme([32, 64, 128]), costs, warmup_fraction=0.1
     ).drive(trace)
     assert result_hash(
-        engine.drive_stream(trace, chunk_size=300)
+        engine.drive(trace, chunk_size=300)
     ) == result_hash(plain)
 
 
@@ -81,12 +81,20 @@ def test_collect_stream_matches_collect():
     scheme_a = ULCScheme([32, 64, 128])
     scheme_b = ULCScheme([32, 64, 128])
     collected = Engine(scheme_a).collect(trace)
-    streamed = Engine(scheme_b).collect_stream(trace, chunk_size=257)
+    streamed = Engine(scheme_b).collect(trace, chunk_size=257)
+    assert streamed.summary() == collected.summary()
+
+
+def test_collect_from_columnar_source_matches_collect(tmp_path):
+    trace = zipf_trace(256, 3_000, seed=8)
+    columnar = save_columnar(trace, tmp_path / "t.ctr")
+    collected = Engine(ULCScheme([32, 64, 128])).collect(trace)
+    streamed = Engine(ULCScheme([32, 64, 128])).collect(columnar)
     assert streamed.summary() == collected.summary()
 
 
 def test_drive_stream_without_costs_rejected():
     with pytest.raises(ConfigurationError):
-        Engine(ULCScheme([8, 8, 8])).drive_stream(
+        Engine(ULCScheme([8, 8, 8])).drive(
             zipf_trace(16, 100, seed=1)
         )
