@@ -7,12 +7,22 @@ and leave all timing/cost interpretation to :mod:`repro.sim.costs`.
 Both types are ``NamedTuple`` s rather than frozen dataclasses: one
 event is built per simulated reference, and tuple construction is ~4x
 cheaper than a frozen dataclass ``__init__`` (which routes every field
-through ``object.__setattr__``). Field order is part of the contract —
-the hot engines construct events positionally.
+through ``object.__setattr__``). Field order is part of the contract.
+
+Even a positional ``AccessEvent(...)`` call runs the NamedTuple's
+Python-level ``__new__`` (~600 ns; ~1 us with keywords), so every
+per-reference builder goes through :data:`new_event` instead: the C-level
+``tuple.__new__`` bound to :class:`AccessEvent`, which takes *one* tuple
+of all eight fields in field order (~300 ns). :data:`new_demotion` does
+the same for :class:`Demotion`. ``tuple.__new__`` does not check arity,
+so a builder that passes a short tuple gets a short event;
+``tests/core/test_event_shape.py`` drives every registered scheme to
+catch that.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Tuple
 
 from repro.policies.base import Block
@@ -69,3 +79,13 @@ class AccessEvent(NamedTuple):
     def demotion_count(self, src: int) -> int:
         """Number of demotions leaving level ``src`` in this event."""
         return sum(1 for d in self.demotions if d.src == src)
+
+
+#: ``new_event((block, client, hit_level, served_from_temp, placed_level,
+#: demotions, evicted, control_messages))`` builds an :class:`AccessEvent`
+#: through C-level ``tuple.__new__`` — all eight fields, in field order,
+#: no defaults and no arity check.
+new_event = functools.partial(tuple.__new__, AccessEvent)
+
+#: ``new_demotion((block, src, dst))``: the same for :class:`Demotion`.
+new_demotion = functools.partial(tuple.__new__, Demotion)

@@ -26,14 +26,14 @@ Key mechanisms implemented here:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import AccessEvent, Demotion
+from repro.core.events import AccessEvent, Demotion, new_demotion, new_event
 from repro.core.stack import UniLRUStack
 from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block
-from repro.policies.lru import LRUPolicy
 from repro.util.intlist import SENTINEL, IntLinkedList
 from repro.util.rng import make_rng
 from repro.util.validation import (
@@ -269,9 +269,10 @@ class ULCMultiClient:
             [capacity, server.capacity], max_size=max_metadata
         )
         self.capacity = capacity
-        self._temp: Optional[LRUPolicy] = (
-            LRUPolicy(templru_capacity) if templru_capacity > 0 else None
-        )
+        # The tempLRU: block -> None, LRU first; a capacity <= 0
+        # disables it (the dict then stays empty).
+        self._temp: "OrderedDict[Block, None]" = OrderedDict()
+        self._temp_capacity = max(templru_capacity, 0)
         # Kernel-caller handles for the fused access path (the stack's
         # level lists; see the intlist kernel contract).
         self._l1 = self.stack._levels[0]
@@ -305,7 +306,8 @@ class ULCMultiClient:
         ``count_notice_messages`` is added to the event's control-message
         count (used by the immediate-notification ablation). Like
         :meth:`repro.core.protocol.ULCClient.access`, the whole protocol
-        runs in one fused frame with positional event construction.
+        runs in one fused frame, recency-region scan included, and
+        builds its event with :data:`~repro.core.events.new_event`.
         """
         stack = self.stack
         server = self.server
@@ -313,7 +315,7 @@ class ULCMultiClient:
         client_id = self.client_id
         l1, l2 = self._l1, self._l2
         node = stack._nodes.get(block)
-        in_temp = temp is not None and block in temp
+        in_temp = block in temp
         out = stack.out_level
 
         demotions: Tuple[Demotion, ...] = ()
@@ -373,7 +375,7 @@ class ULCMultiClient:
         # -- make room at the client cache ----------------------------------
         if placed == 1 and l1.size > self.capacity:
             victim = stack.demote_tail(1)
-            demotions = (Demotion(victim.block, 1, 2),)
+            demotions = (new_demotion((victim.block, 1, 2)),)
             colder = stack.colder_neighbour(victim)
             warmer = stack.warmer_neighbour(victim)
             ev = server.want_cached_demoted(
@@ -385,20 +387,20 @@ class ULCMultiClient:
             if ev is not None:
                 self._handle_own_eviction(ev)
 
-        event = AccessEvent(
+        # Maintain the tempLRU of blocks passing through uncached.
+        if placed == 1:
+            if in_temp:
+                del temp[block]
+        elif in_temp:
+            temp.move_to_end(block)
+        elif self._temp_capacity:
+            if len(temp) >= self._temp_capacity:
+                temp.popitem(last=False)
+            temp[block] = None
+        return new_event((
             block, client_id, hit_level, in_temp, placed,
             demotions, (), count_notice_messages,
-        )
-        # Maintain the tempLRU of blocks passing through uncached.
-        if temp is not None:
-            if placed == 1:
-                if in_temp:
-                    temp.remove(block)
-            elif in_temp:
-                temp.touch(block)
-            else:
-                temp.insert(block)
-        return event
+        ))
 
     def _fill_level(self) -> Optional[int]:
         """Placement for an L_out block: fill the client cache first,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.events import AccessEvent, Demotion
+from repro.core.events import AccessEvent, Demotion, new_demotion, new_event
 from repro.core.multi import ULCServer, _Eviction
 from repro.core.stack import UniLRUStack
 from repro.errors import ConfigurationError
@@ -142,7 +142,7 @@ class ULCMultiLevelClient:
         # -- make room at the private cache -----------------------------------
         if placed == 1 and self.stack.level_size(1) > self.capacity:
             victim = self.stack.demote_tail(1)
-            demotions.append(Demotion(victim.block, 1, 2))
+            demotions.append(new_demotion((victim.block, 1, 2)))
             colder = self.stack.colder_neighbour(victim)
             warmer = self.stack.warmer_neighbour(victim)
             eviction = self._tier(2).want_cached_demoted(
@@ -156,15 +156,10 @@ class ULCMultiLevelClient:
         if in_temp:
             hit_level = 1
 
-        event = AccessEvent(
-            block=block,
-            client=self.client_id,
-            hit_level=hit_level,
-            served_from_temp=in_temp,
-            placed_level=placed,
-            demotions=tuple(demotions),
-            control_messages=count_notice_messages,
-        )
+        event = new_event((
+            block, self.client_id, hit_level, in_temp, placed,
+            tuple(demotions), (), count_notice_messages,
+        ))
         self._maintain_temp(block, event)
         return event
 
@@ -190,7 +185,7 @@ class ULCMultiLevelClient:
             # rewrites it as a demotion notice where applicable.
             if level >= self.num_levels:
                 return  # fell out of the hierarchy
-            demotions.append(Demotion(victim, level, level + 1))
+            demotions.append(new_demotion((victim, level, level + 1)))
             next_eviction = self._tier(level + 1).want_cached_demoted(
                 victim, owner
             )

@@ -27,13 +27,14 @@ costs are attached later by the simulator.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Sequence
 
-from repro.core.events import AccessEvent, Demotion
+from repro.core.events import AccessEvent, Demotion, new_demotion, new_event
 from repro.core.stack import UniLRUStack
 from repro.errors import ConfigurationError
 from repro.policies.base import Block
-from repro.policies.lru import LRUPolicy
+from repro.util.intlist import SENTINEL
 from repro.util.validation import check_int, check_non_negative
 
 
@@ -60,9 +61,10 @@ class ULCClient:
         self.stack = UniLRUStack(capacities, max_size=max_metadata)
         self.capacities = self.stack.capacities
         self.num_levels = self.stack.num_levels
-        self._temp: Optional[LRUPolicy] = (
-            LRUPolicy(templru_capacity) if templru_capacity > 0 else None
-        )
+        # The tempLRU: block -> None, LRU first; capacity 0 disables it
+        # (the dict then stays empty).
+        self._temp: "OrderedDict[Block, None]" = OrderedDict()
+        self._temp_capacity = templru_capacity
 
     # -- queries -------------------------------------------------------------
 
@@ -83,49 +85,67 @@ class ULCClient:
         """Process one reference and return the resulting event.
 
         This is the hottest function in the library: the whole
-        per-reference protocol is fused into one frame with locals bound
-        once, and events are built positionally (field order is part of
-        the :class:`AccessEvent` contract). The logic is exactly the
+        per-reference protocol — the recency-region scan included — is
+        fused into one frame with locals bound once, and the event is
+        built by :data:`~repro.core.events.new_event` from one tuple of
+        all eight fields in field order. The logic is exactly the
         decision rule from the module docstring.
         """
         stack = self.stack
         temp = self._temp
         node = stack._nodes.get(block)
-        in_temp = temp is not None and block in temp
+        in_temp = block in temp
+        out = stack.out_level
 
         if node is None:
-            event = self._access_untracked(block, client, in_temp)
+            # First access (or access after pruning): L_out / R_out.
+            placed = stack.first_unfilled_level()
+            stack.insert_new(block, out if placed is None else placed)
+            event = new_event((
+                block, client, 1 if in_temp else None, in_temp, placed,
+                (), (), 0,
+            ))
         else:
-            out = stack.out_level
             level_status = node.level  # i
-            region = stack.recency_region(node)  # j
+            # The recency region R_j: the first level whose yardstick
+            # (its list tail) is at or below the node, else R_out.
+            seq = node.seq
+            node_at = stack._node_at
+            region = 1  # j
+            for lst in stack._levels:
+                tail = lst.prev[SENTINEL]
+                if (
+                    tail != SENTINEL
+                    and seq >= node_at[tail].seq  # type: ignore[union-attr]
+                ):
+                    break
+                region += 1
 
             # The stack construction guarantees i >= j for cached blocks
             # (see UniLRUStack docs); for L_out blocks i is out_level.
             if region == out:
                 # Re-reference of an uncached block whose recency fell
                 # below every yardstick: behave like a fresh L_out block.
-                fill_level = stack.first_unfilled_level()
-                stack.touch(
-                    node, fill_level if fill_level is not None else out
-                )
-                event = AccessEvent(
-                    block, client, 1 if in_temp else None, in_temp, fill_level
-                )
+                placed = stack.first_unfilled_level()
+                stack.touch(node, out if placed is None else placed)
+                event = new_event((
+                    block, client, 1 if in_temp else None, in_temp, placed,
+                    (), (), 0,
+                ))
             elif region == level_status:
                 # i == j: the block stays at its level; no cascade runs
-                # (its own slot absorbs its re-insertion). Hits at the
-                # cached level (or disk for an L_out block — unreachable
-                # here since region < out implies level_status < out).
+                # (its own slot absorbs its re-insertion).
+                placed = region
                 stack.touch(node, region)
-                event = AccessEvent(
+                event = new_event((
                     block, client, 1 if in_temp else level_status, in_temp,
-                    region,
-                )
+                    region, (), (), 0,
+                ))
             else:
                 # i > j: move the block up to level j; free one slot
                 # there by demoting yardstick blocks down the chain until
                 # the slot vacated at level i absorbs the cascade.
+                placed = region
                 hit_level = 1 if in_temp else (
                     None if level_status == out else level_status
                 )
@@ -141,40 +161,27 @@ class ULCClient:
                     and levels[level - 1].size > capacities[level - 1]
                 ):
                     victim = stack.demote_tail(level)
-                    demotions.append(Demotion(victim.block, level, level + 1))
+                    demotions.append(new_demotion((victim.block, level, level + 1)))
                     if victim.level == out:
                         evicted.append(victim.block)
                     level += 1
-                event = AccessEvent(
+                event = new_event((
                     block, client, hit_level, in_temp, region,
-                    tuple(demotions), tuple(evicted),
-                )
+                    tuple(demotions), tuple(evicted), 0,
+                ))
 
         # Maintain the tempLRU holding blocks that pass through the
         # client without being cached at level 1.
-        if temp is not None:
-            if event.placed_level == 1:
-                if in_temp:
-                    temp.remove(block)
-            elif in_temp:
-                temp.touch(block)
-            else:
-                temp.insert(block)
+        if placed == 1:
+            if in_temp:
+                del temp[block]
+        elif in_temp:
+            temp.move_to_end(block)
+        elif self._temp_capacity:
+            if len(temp) >= self._temp_capacity:
+                temp.popitem(last=False)
+            temp[block] = None
         return event
-
-    def _access_untracked(
-        self, block: Block, client: int, in_temp: bool
-    ) -> AccessEvent:
-        """First access (or access after pruning): L_out / R_out."""
-        fill_level = self.stack.first_unfilled_level()
-        if fill_level is None:
-            # All caches full: the block is not cached anywhere.
-            self.stack.insert_new(block, self.stack.out_level)
-        else:
-            self.stack.insert_new(block, fill_level)
-        return AccessEvent(
-            block, client, 1 if in_temp else None, in_temp, fill_level
-        )
 
     # -- diagnostics ----------------------------------------------------------
 

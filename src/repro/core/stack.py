@@ -336,12 +336,23 @@ class UniLRUStack:
         out of every cache). The node keeps its stack position — a
         demotion changes where a block is *cached*, not its recency. For
         intermediate levels the node is placed at its sequence-sorted
-        position in the next level's list (*DemotionSearching*).
+        position in the next level's list (*DemotionSearching*, in
+        :meth:`_insert_sorted`). Every ``i > j`` reference demotes at
+        least once, so the tail is spliced out inline, as in
+        :meth:`touch`.
         """
-        victim = self.yardstick(level)
-        if victim is None:
+        lst = self._levels[level - 1]
+        lp, ln = lst.prev, lst.next
+        slot = lp[SENTINEL]
+        if slot == SENTINEL:
             raise ProtocolError(f"demote_tail on empty level {level}")
-        self._levels[level - 1].remove(victim.slot)
+        victim: StackNode = self._node_at[slot]  # type: ignore[assignment]
+        p = lp[slot]
+        ln[p] = SENTINEL
+        lp[SENTINEL] = p
+        lp[slot] = UNLINKED
+        ln[slot] = UNLINKED
+        lst.size -= 1
         if level >= self.num_levels:
             victim.level = self.out_level
             self.prune()
@@ -366,19 +377,27 @@ class UniLRUStack:
         towards the stack bottom ... for the next block with a higher
         level status". The walk is O(gap to that neighbour), typically a
         handful of steps, where a scan of the level list itself from
-        either end is O(level size).
+        either end is O(level size). The node is spliced in inline,
+        before that successor (or at the tail when there is none).
         """
         target = self._levels[level - 1]
         node_at = self._node_at
         gnext = self._global.next
-        cursor = gnext[node.slot]
+        slot = node.slot
+        cursor = gnext[slot]
         while cursor != SENTINEL:
             other = node_at[cursor]
             if other is not None and other.level == level:
-                target.insert_before(node.slot, cursor)
-                return
+                break
             cursor = gnext[cursor]
-        target.push_back(node.slot)
+        # cursor is the level successor, or SENTINEL (push to the tail).
+        tp, tn = target.prev, target.next
+        p = tp[cursor]
+        tp[slot] = p
+        tn[slot] = cursor
+        tn[p] = slot
+        tp[cursor] = slot
+        target.size += 1
 
     def relocate(self, node: StackNode, new_level: int) -> None:
         """Move a node to another level *without* changing its recency.

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.report import render_figure6
 from repro.errors import ConfigurationError
 from repro.experiments.scaling import Scale, resolve_scale
-from repro.hierarchy import (
-    IndependentScheme,
-    MultiLevelScheme,
-    ULCScheme,
-    UnifiedLRUScheme,
-)
 from repro.runner import CostSpec, RunSpec, WorkloadSpec, run_specs
 from repro.sim import RunResult, paper_three_level
 
@@ -42,13 +36,7 @@ BASELINE_REFS = {
 
 FIGURE6_WORKLOADS = ("random", "zipf", "httpd", "dev1", "tpcc1")
 
-SCHEMES: Dict[str, Callable[[List[int]], MultiLevelScheme]] = {
-    "indLRU": lambda caps: IndependentScheme(caps),
-    "uniLRU": lambda caps: UnifiedLRUScheme(caps),
-    "ULC": lambda caps: ULCScheme(caps),
-}
-
-#: Registry names behind the figure's scheme labels (the runner path).
+#: The figure's scheme labels and the registry name behind each.
 SCHEME_NAMES: Dict[str, str] = {
     "indLRU": "indlru",
     "uniLRU": "unilru",
@@ -94,7 +82,7 @@ def cache_blocks(workload: str, scale: Scale) -> int:
 def run_figure6(
     scale: Union[str, Scale] = "bench",
     workloads: Sequence[str] = FIGURE6_WORKLOADS,
-    schemes: Sequence[str] = tuple(SCHEMES),
+    schemes: Sequence[str] = tuple(SCHEME_NAMES),
     jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     check_invariants: Optional[int] = None,
@@ -116,9 +104,9 @@ def run_figure6(
                 f"available: {sorted(BASELINE_REFS)}"
             )
     for name in schemes:
-        if name not in SCHEMES:
+        if name not in SCHEME_NAMES:
             raise ConfigurationError(
-                f"unknown scheme {name!r}; available: {sorted(SCHEMES)}"
+                f"unknown scheme {name!r}; available: {sorted(SCHEME_NAMES)}"
             )
     cells: List[str] = []
     specs: List[RunSpec] = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.events import AccessEvent
+from repro.core.events import AccessEvent, new_event
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
@@ -150,9 +150,7 @@ class CooperativeScheme(MultiLevelScheme):
 
         if block in cache:
             cache.touch(block)
-            return AccessEvent(
-                block=block, client=client, hit_level=1, placed_level=1
-            )
+            return new_event((block, client, 1, False, 1, (), (), 0))
 
         if block in self._server:
             self._server.touch(block)
@@ -182,9 +180,7 @@ class CooperativeScheme(MultiLevelScheme):
         for dropped in self._client_insert(client, block):
             if dropped != block:
                 self._maybe_forward(client, dropped)
-        return AccessEvent(
-            block=block, client=client, hit_level=hit_level, placed_level=1
-        )
+        return new_event((block, client, hit_level, False, 1, (), (), 0))
 
     # -- introspection -----------------------------------------------------------
 

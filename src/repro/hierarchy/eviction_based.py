@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Sequence, Tuple
 
-from repro.core.events import AccessEvent
+from repro.core.events import AccessEvent, new_event
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
@@ -103,9 +103,7 @@ class EvictionBasedScheme(MultiLevelScheme):
 
         if block in cache:
             cache.touch(block)
-            return AccessEvent(
-                block=block, client=client, hit_level=1, placed_level=1
-            )
+            return new_event((block, client, 1, False, 1, (), (), 0))
 
         if block in self._server:
             hit_level: Optional[int] = 2
@@ -119,9 +117,7 @@ class EvictionBasedScheme(MultiLevelScheme):
         for victim in cache.insert(block):
             # Placement by reload: no network transfer, one disk read.
             self._schedule_reload(victim)
-        return AccessEvent(
-            block=block, client=client, hit_level=hit_level, placed_level=1
-        )
+        return new_event((block, client, hit_level, False, 1, (), (), 0))
 
     @property
     def pending_reloads(self) -> int:

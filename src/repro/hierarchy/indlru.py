@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.events import AccessEvent
+from repro.core.events import AccessEvent, new_event
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block, ReplacementPolicy
@@ -49,7 +49,6 @@ class IndependentScheme(MultiLevelScheme):
             )
         if policy_kwargs is None:
             policy_kwargs = [{}] * self.num_levels
-        self._policy_names = list(policies)
         # Level 1 is private per client; lower levels are shared.
         self._client_caches: List[ReplacementPolicy] = [
             make_policy(policies[0], capacities[0], **dict(policy_kwargs[0]))
@@ -61,36 +60,33 @@ class IndependentScheme(MultiLevelScheme):
         ]
         if policies[0] != "lru":
             self.name = "ind-" + "-".join(policies)
-
-    def _level_cache(self, client: int, level: int) -> ReplacementPolicy:
-        if level == 1:
-            return self._client_caches[client]
-        return self._shared[level - 2]
+        # Each client's lookup chain — its private cache, then the
+        # shared levels — built once.
+        self._chains: List[List[ReplacementPolicy]] = [
+            [cache] + self._shared for cache in self._client_caches
+        ]
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
+        levels = self._chains[client]
         hit_level: Optional[int] = None
-        for level in range(1, self.num_levels + 1):
-            cache = self._level_cache(client, level)
+        level = 0  # levels missed so far
+        for cache in levels:
             if block in cache:
                 cache.touch(block)
-                hit_level = level
+                hit_level = level + 1
                 break
+            level += 1
         # Cache the block at every level above the serving one
-        # (read-through); evictions are silent drops.
-        top_missed = self.num_levels if hit_level is None else hit_level - 1
-        for level in range(top_missed, 0, -1):
-            self._level_cache(client, level).insert(block)
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=hit_level,
-            placed_level=1,
-        )
+        # (read-through), deepest first; evictions are silent drops.
+        while level:
+            level -= 1
+            levels[level].insert(block)
+        return new_event((block, client, hit_level, False, 1, (), (), 0))
 
     def resident(self, client: int, level: int) -> List[Block]:
         """Contents of one cache (tests)."""
-        return list(self._level_cache(client, level).resident())
+        return list(self._chains[client][level - 1].resident())
 
     def check_invariants(self) -> None:
         """Every per-client and shared cache within its capacity."""

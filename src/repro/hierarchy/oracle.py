@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.events import AccessEvent
+from repro.core.events import AccessEvent, new_event
 from repro.errors import ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
@@ -33,13 +33,10 @@ class AggregateLRUOracle(MultiLevelScheme):
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         result = self._cache.access(block)
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=1 if result.hit else None,
-            placed_level=1,
-            evicted=tuple(result.evicted),
-        )
+        return new_event((
+            block, client, 1 if result.hit else None, False, 1,
+            (), tuple(result.evicted), 0,
+        ))
 
     def check_invariants(self) -> None:
         """The aggregate cache never exceeds the summed capacity."""
@@ -71,13 +68,10 @@ class AggregateOPTOracle(MultiLevelScheme):
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         result = self._cache.access(block)
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=1 if result.hit else None,
-            placed_level=1,
-            evicted=tuple(result.evicted),
-        )
+        return new_event((
+            block, client, 1 if result.hit else None, False, 1,
+            (), tuple(result.evicted), 0,
+        ))
 
     def check_invariants(self) -> None:
         """The aggregate cache never exceeds the summed capacity."""

@@ -42,7 +42,7 @@ class ULCScheme(MultiLevelScheme):
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
-        return self.engine.access(block, client=client)
+        return self.engine.access(block, client)
 
     def check_invariants(self) -> None:
         """Stack consistency, per-level occupancy and level exclusivity."""

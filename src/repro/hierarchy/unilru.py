@@ -12,9 +12,10 @@ hierarchy's hit rate equals a single LRU of the aggregate size (the
 scheme's strength), but the demotion traffic is enormous (its weakness —
 up to a 100% first-boundary demotion rate on looping workloads, Figure 6).
 
-Implemented as chained per-level LRU lists: an access pops the block out
-of its level, pushes it at level 1, and overflow ripples down the chain;
-every ripple is reported as a demotion.
+Implemented as chained per-level LRU queues (one ``OrderedDict`` per
+level, LRU end first): an access pops the block out of its level, pushes
+it at level 1, and overflow ripples down the chain; every ripple is
+reported as a demotion.
 
 Multi-client structure (the DEMOTE scheme)
 ------------------------------------------
@@ -33,9 +34,10 @@ as the paper did).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import AccessEvent, Demotion
+from repro.core.events import AccessEvent, Demotion, new_demotion, new_event
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
@@ -54,51 +56,53 @@ class UnifiedLRUScheme(MultiLevelScheme):
                 "UnifiedLRUScheme is single-client; use UnifiedLRUMultiScheme"
             )
         super().__init__(capacities, num_clients)
-        self._levels = [LRUPolicy(capacity) for capacity in self.capacities]
-
-    def _find_level(self, block: Block) -> Optional[int]:
-        for level, cache in enumerate(self._levels, start=1):
-            if block in cache:
-                return level
-        return None
+        # One recency queue per level: block -> None, LRU first (the
+        # same OrderedDict layout as LRUPolicy, driven directly).
+        self._levels: List["OrderedDict[Block, None]"] = [
+            OrderedDict() for _ in self.capacities
+        ]
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
-        hit_level = self._find_level(block)
-        demotions: List[Demotion] = []
-        evicted: List[Block] = []
-
-        if hit_level is not None:
-            self._levels[hit_level - 1].remove(block)
+        levels = self._levels
+        hit_level: Optional[int] = None
+        level = 1
+        for order in levels:
+            if block in order:
+                del order[block]
+                hit_level = level
+                break
+            level += 1
         # The block becomes the global MRU: insert at level 1 and ripple
         # the overflow down the chain. Each ripple crosses one boundary —
-        # one demotion. The ripple stops at the level the block vacated
-        # (or the bottom, on a miss).
-        carry: Optional[Block] = block
-        for level in range(1, self.num_levels + 1):
-            if carry is None:
+        # one demotion; overflow of the last level is an eviction. The
+        # ripple stops at the level the block vacated (or the bottom, on
+        # a miss).
+        demotions: List[Demotion] = []
+        evicted: Tuple[Block, ...] = ()
+        num_levels = self.num_levels
+        capacities = self.capacities
+        carry = block
+        level = 1
+        for order in levels:
+            order[carry] = None
+            if len(order) <= capacities[level - 1]:
                 break
-            overflow = self._levels[level - 1].insert(carry)
-            carry = overflow[0] if overflow else None
-            if carry is not None:
-                if level < self.num_levels:
-                    demotions.append(Demotion(carry, level, level + 1))
-                else:
-                    evicted.append(carry)
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=hit_level,
-            placed_level=1,
-            demotions=tuple(demotions),
-            evicted=tuple(evicted),
-        )
+            carry = order.popitem(last=False)[0]
+            if level < num_levels:
+                demotions.append(new_demotion((carry, level, level + 1)))
+            else:
+                evicted = (carry,)
+            level += 1
+        return new_event((
+            block, client, hit_level, False, 1, tuple(demotions), evicted, 0,
+        ))
 
     def global_order(self) -> List[Block]:
         """The conceptual aggregate LRU stack, MRU first (tests)."""
         order: List[Block] = []
-        for cache in self._levels:
-            order.extend(cache.recency_order())
+        for level in self._levels:
+            order.extend(reversed(level))
         return order
 
     def check_invariants(self) -> None:
@@ -108,13 +112,14 @@ class UnifiedLRUScheme(MultiLevelScheme):
         exactly one level and each level list to respect its capacity.
         """
         seen: Dict[Block, int] = {}
-        for level, cache in enumerate(self._levels, start=1):
-            if len(cache) > cache.capacity:
+        for level, order in enumerate(self._levels, start=1):
+            capacity = self.capacities[level - 1]
+            if len(order) > capacity:
                 raise ProtocolError(
-                    f"uniLRU level {level} holds {len(cache)} blocks, "
-                    f"capacity {cache.capacity}"
+                    f"uniLRU level {level} holds {len(order)} blocks, "
+                    f"capacity {capacity}"
                 )
-            for resident in cache.recency_order():
+            for resident in order:
                 if resident in seen:
                     raise ProtocolError(
                         f"block {resident!r} at levels {seen[resident]} "
@@ -198,7 +203,7 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
         if victim in self._server:
             # Another client demoted the same block earlier; refresh it.
             self._server.remove(victim)
-        demotions.append(Demotion(victim, 1, 2))
+        demotions.append(new_demotion((victim, 1, 2)))
         self._window_demotes[client] += 1
         self._demoted_by[victim] = client
         if self._insert_mode(client) == INSERT_LRU:
@@ -235,14 +240,10 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
 
         if self.insertion == INSERT_ADAPTIVE:
             self._roll_window()
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=hit_level,
-            placed_level=1,
-            demotions=tuple(demotions),
-            evicted=tuple(evicted),
-        )
+        return new_event((
+            block, client, hit_level, False, 1,
+            tuple(demotions), tuple(evicted), 0,
+        ))
 
     def check_invariants(self) -> None:
         """Occupancy bounds plus demote-ownership bookkeeping."""

@@ -12,17 +12,19 @@ for a :class:`~repro.sim.results.RunResult` or :meth:`Engine.collect`
 for the raw :class:`~repro.sim.metrics.MetricsCollector`. Every drive
 — in-memory or streamed from disk — runs one chunked loop
 (:func:`_drive`) over one per-reference span loop
-(:func:`_span_scalar`): one ``scheme.access`` call and, past warm-up,
-one ``metrics.record`` per reference, so warm-up handling and iteration
-order cannot diverge between sources.
+(:func:`_span_scalar`): one ``scheme.access`` call per reference and,
+past warm-up, one :meth:`~repro.sim.metrics.MetricsCollector.record_all`
+fold per span over the events of :func:`_span_events`, so warm-up
+handling and iteration order cannot diverge between sources.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from repro.core.events import AccessEvent
 from repro.errors import ConfigurationError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.sim.costs import CostModel
@@ -54,29 +56,50 @@ def _span_scalar(
     Zero-allocation iteration: the column arrays are walked through
     ``memoryview`` s, which yield plain Python ints per element (dict-key
     speed, no NumPy scalar boxing) without materialising a list copy of
-    the span. The loop is split at the warm-up boundary — the measured
-    loop records unconditionally instead of testing an index per
-    reference — and a span without client annotations skips the client
-    column entirely.
+    the span. The span is split at the warm-up boundary: warm-up
+    references are only accessed, and the measured ones stream from
+    :func:`_span_events` through one
+    :meth:`MetricsCollector.record_all` fold. A span without client
+    annotations skips the client column entirely.
     """
     blocks = memoryview(blocks_arr)
     access = scheme.access
-    record = metrics.record
     if clients_arr is not None and clients_arr.any():
-        clients = memoryview(clients_arr)
+        clients: Optional[memoryview] = memoryview(clients_arr)
         for client, block in zip(
             clients[:warmup_local], blocks[:warmup_local]
         ):
             access(client, block)
-        for client, block in zip(
-            clients[warmup_local:], blocks[warmup_local:]
-        ):
-            record(access(client, block))
+        clients = clients[warmup_local:]
     else:
+        clients = None
         for block in blocks[:warmup_local]:
             access(0, block)
-        for block in blocks[warmup_local:]:
-            record(access(0, block))
+    metrics.record_all(_span_events(scheme, clients, blocks[warmup_local:]))
+
+
+# repro: hot
+def _span_events(
+    scheme: MultiLevelScheme,
+    clients: Optional[memoryview],
+    blocks: memoryview,
+) -> Iterator[AccessEvent]:
+    """The events of one measured span, one ``scheme.access`` per
+    reference, generated lazily for :meth:`MetricsCollector.record_all`.
+
+    A generator rather than ``map(access, ...)``: ``map`` saves ~20 ns
+    per reference but hides the scheme dispatch from the flow call
+    graph (``repro check --deep``/``--bounds``), and a generator
+    expression inside :func:`_span_scalar` would be an allocation in a
+    ``# repro: hot`` body (FLOW004).
+    """
+    access = scheme.access
+    if clients is None:
+        for block in blocks:
+            yield access(0, block)
+    else:
+        for client, block in zip(clients, blocks):
+            yield access(client, block)
 
 
 # repro: bound O(n) amortized -- chunks partition the stream and

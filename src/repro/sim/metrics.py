@@ -8,19 +8,11 @@ demotion components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.core.events import AccessEvent
 from repro.errors import ProtocolError
 from repro.sim.costs import CostModel
-
-
-@dataclass
-class LevelStats:
-    """Hit statistics of one level."""
-
-    hits: int = 0
 
 
 class MetricsCollector:
@@ -45,35 +37,68 @@ class MetricsCollector:
         self.per_client_misses = [0] * num_clients
         self.per_client_demotions = [0] * num_clients
 
-    def record(self, event: AccessEvent) -> None:
-        """Fold one event into the counters.
+    def record_all(self, events: Iterable[AccessEvent]) -> None:
+        """Fold a span of events into the counters.
+
+        One frame folds the whole span with every counter in a local;
+        the scalar counters are written back when the span ends, also
+        when it ends early by an exception, so the collector always
+        holds exactly the events folded before the failure.
 
         Raises:
-            ProtocolError: when ``event.client`` is outside
+            ProtocolError: when an event's ``client`` is outside
                 ``[0, num_clients)`` — silently remapping would
-                misattribute per-client statistics.
+                misattribute per-client statistics. The check runs
+                before the event touches any counter.
         """
-        self.references += 1
-        client = event.client
-        if not 0 <= client < self.num_clients:
-            raise ProtocolError(
-                f"event for client {client} recorded by a collector "
-                f"tracking {self.num_clients} client(s)"
-            )
-        self.per_client_refs[client] += 1
-        if event.hit_level is None:
-            self.misses += 1
-            self.per_client_misses[client] += 1
-        else:
-            self.level_hits[event.hit_level - 1] += 1
-        if event.served_from_temp:
-            self.temp_hits += 1
-        for demotion in event.demotions:
-            if demotion.dst <= self.num_levels:
-                self.boundary_demotions[demotion.src - 1] += 1
-                self.per_client_demotions[client] += 1
-        self.evictions += len(event.evicted)
-        self.control_messages += event.control_messages
+        num_levels = self.num_levels
+        num_clients = self.num_clients
+        level_hits = self.level_hits
+        boundary_demotions = self.boundary_demotions
+        per_client_refs = self.per_client_refs
+        per_client_misses = self.per_client_misses
+        per_client_demotions = self.per_client_demotions
+        references = self.references
+        misses = self.misses
+        temp_hits = self.temp_hits
+        evictions = self.evictions
+        control_messages = self.control_messages
+        try:
+            for (
+                _block, client, hit_level, served_from_temp, _placed,
+                demotions, evicted, messages,
+            ) in events:
+                if not 0 <= client < num_clients:
+                    raise ProtocolError(
+                        f"event for client {client} recorded by a "
+                        f"collector tracking {num_clients} client(s)"
+                    )
+                if hit_level is None:
+                    misses += 1
+                    per_client_misses[client] += 1
+                else:
+                    level_hits[hit_level - 1] += 1
+                references += 1
+                per_client_refs[client] += 1
+                if served_from_temp:
+                    temp_hits += 1
+                # Most events carry no demotions, evictions or
+                # messages: testing first skips an empty-tuple iterator.
+                if demotions:
+                    for _demoted, src, dst in demotions:
+                        if dst <= num_levels:
+                            boundary_demotions[src - 1] += 1
+                            per_client_demotions[client] += 1
+                if evicted:
+                    evictions += len(evicted)
+                if messages:
+                    control_messages += messages
+        finally:
+            self.references = references
+            self.misses = misses
+            self.temp_hits = temp_hits
+            self.evictions = evictions
+            self.control_messages = control_messages
 
     # -- derived rates ---------------------------------------------------------
 

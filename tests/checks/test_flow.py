@@ -433,8 +433,9 @@ class TestLiveTree:
 
     def test_call_graph_resolves_drive_fanout(self):
         # _drive consumes the trace chunk-wise and delegates each span
-        # to the scalar/batched helpers; the dynamic scheme dispatch is
-        # resolved one hop below it.
+        # to the span loop; the dynamic scheme dispatch is resolved one
+        # hop below it, both in the warm-up loop and in the measured
+        # event generator that feeds the metrics fold.
         project, graph = analyze([SRC_REPRO])
         drive = "repro.sim.engine._drive"
         callees = {site.callee for site in graph.successors(drive)}
@@ -444,7 +445,13 @@ class TestLiveTree:
             for site in graph.successors("repro.sim.engine._span_scalar")
         }
         assert "repro.hierarchy.ulc.ULCScheme.access" in span
-        assert "repro.sim.metrics.MetricsCollector.record" in span
+        assert "repro.sim.metrics.MetricsCollector.record_all" in span
+        assert "repro.sim.engine._span_events" in span
+        measured = {
+            site.callee
+            for site in graph.successors("repro.sim.engine._span_events")
+        }
+        assert "repro.hierarchy.ulc.ULCScheme.access" in measured
 
     def test_entry_points_present(self):
         project, _ = analyze([SRC_REPRO])

@@ -30,7 +30,7 @@ def test_rate_formula_equals_mean_event_cost(blocks, scheme_name):
     event_costs = []
     for block in blocks:
         event = scheme.access(0, block)
-        metrics.record(event)
+        metrics.record_all((event,))
         event_costs.append(costs.event_cost(event))
     formula = metrics.average_access_time(costs)
     per_event = sum(event_costs) / len(event_costs)
@@ -48,7 +48,7 @@ def test_hit_and_miss_rates_partition_unity(blocks, scheme_name):
     scheme = make_scheme(scheme_name, [4, 8], num_clients=2)
     metrics = MetricsCollector(2, num_clients=2)
     for index, block in enumerate(blocks):
-        metrics.record(scheme.access(index % 2, block))
+        metrics.record_all((scheme.access(index % 2, block),))
     assert metrics.total_hit_rate + metrics.miss_rate == pytest.approx(1.0)
     assert sum(
         metrics.hit_rate(level) for level in (1, 2)
@@ -74,7 +74,7 @@ def test_run_simulation_matches_manual_replay(blocks):
     for index, block in enumerate(blocks):
         event = scheme.access(0, block)
         if index >= warm:
-            metrics.record(event)
+            metrics.record_all((event,))
     assert result.t_ave_ms == pytest.approx(
         metrics.average_access_time(costs), abs=1e-9
     )

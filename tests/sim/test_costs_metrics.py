@@ -78,8 +78,7 @@ class TestMetricsCollector:
 
     def test_rates(self):
         metrics = MetricsCollector(3)
-        for event in self.make_events():
-            metrics.record(event)
+        metrics.record_all(self.make_events())
         assert metrics.references == 5
         assert metrics.hit_rate(1) == pytest.approx(0.4)
         assert metrics.hit_rate(2) == pytest.approx(0.2)
@@ -93,8 +92,7 @@ class TestMetricsCollector:
     def test_t_ave_formula(self):
         """T_ave = sum h_i T_i + h_miss T_m + sum T_di h_di (Sec. 4.1)."""
         metrics = MetricsCollector(3)
-        for event in self.make_events():
-            metrics.record(event)
+        metrics.record_all(self.make_events())
         costs = paper_three_level()
         expected = (
             0.4 * 0.0 + 0.2 * 1.0 + 0.2 * 1.2   # hits
@@ -115,14 +113,14 @@ class TestMetricsCollector:
 
     def test_eviction_not_counted_as_demotion(self):
         metrics = MetricsCollector(2)
-        metrics.record(
-            AccessEvent(block=1, hit_level=1, demotions=(Demotion(5, 2, 3),))
+        metrics.record_all(
+            [AccessEvent(block=1, hit_level=1, demotions=(Demotion(5, 2, 3),))]
         )
         assert metrics.demotion_rate(1) == 0.0
 
     def test_summary_keys(self):
         metrics = MetricsCollector(2)
-        metrics.record(AccessEvent(block=1, hit_level=1))
+        metrics.record_all((AccessEvent(block=1, hit_level=1),))
         summary = metrics.summary(paper_two_level())
         for key in ["hit_rate_L1", "hit_rate_L2", "demotion_rate_B1",
                     "t_ave_ms", "miss_rate"]:
@@ -130,7 +128,7 @@ class TestMetricsCollector:
 
     def test_per_client_accounting(self):
         metrics = MetricsCollector(2, num_clients=2)
-        metrics.record(AccessEvent(block=1, client=0, hit_level=1))
-        metrics.record(AccessEvent(block=2, client=1))
+        metrics.record_all((AccessEvent(block=1, client=0, hit_level=1),))
+        metrics.record_all((AccessEvent(block=2, client=1),))
         assert metrics.per_client_refs == [1, 1]
         assert metrics.per_client_misses == [0, 1]

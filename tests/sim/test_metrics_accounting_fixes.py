@@ -38,16 +38,16 @@ MESSAGE_COSTS = CostModel(
 
 def _collector_with_traffic() -> MetricsCollector:
     metrics = MetricsCollector(num_levels=2, num_clients=1)
-    metrics.record(AccessEvent(block=1, hit_level=1, control_messages=2))
-    metrics.record(
+    metrics.record_all([
+        AccessEvent(block=1, hit_level=1, control_messages=2),
         AccessEvent(
             block=2,
             hit_level=None,
             demotions=(Demotion(block=9, src=1, dst=2),),
             control_messages=1,
-        )
-    )
-    metrics.record(AccessEvent(block=3, hit_level=2))
+        ),
+        AccessEvent(block=3, hit_level=2),
+    ])
     return metrics
 
 
@@ -113,13 +113,40 @@ class TestClientIdValidation:
     def test_out_of_range_client_raises(self, client):
         metrics = MetricsCollector(num_levels=2, num_clients=1)
         with pytest.raises(ProtocolError, match="client"):
-            metrics.record(
-                AccessEvent(block=1, client=client, hit_level=1)
+            metrics.record_all(
+                [AccessEvent(block=1, client=client, hit_level=1)]
             )
+
+    def test_bad_client_mid_stream_leaves_counters_at_last_good_event(self):
+        good = [
+            AccessEvent(block=1, client=0, hit_level=1, control_messages=1),
+            AccessEvent(
+                block=2,
+                client=1,
+                demotions=(Demotion(block=7, src=1, dst=2),),
+                evicted=(9,),
+            ),
+        ]
+        bad = AccessEvent(
+            block=3, client=2, hit_level=2, served_from_temp=True,
+            demotions=(Demotion(block=8, src=1, dst=2),), evicted=(4,),
+            control_messages=5,
+        )
+        expected = MetricsCollector(num_levels=2, num_clients=2)
+        expected.record_all(good)
+        metrics = MetricsCollector(num_levels=2, num_clients=2)
+        with pytest.raises(
+            ProtocolError,
+            match=r"event for client 2 recorded by a collector tracking "
+            r"2 client\(s\)",
+        ):
+            metrics.record_all(good + [bad] + good)
+        assert vars(metrics) == vars(expected)
+        assert metrics.references == sum(metrics.per_client_refs) == 2
 
     def test_in_range_clients_attributed_correctly(self):
         metrics = MetricsCollector(num_levels=2, num_clients=3)
-        metrics.record(AccessEvent(block=1, client=2, hit_level=None))
+        metrics.record_all((AccessEvent(block=1, client=2, hit_level=None),))
         assert metrics.per_client_refs == [0, 0, 1]
         assert metrics.per_client_misses == [0, 0, 1]
 
